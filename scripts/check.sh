@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
-# One-command CI gate: the tier-1 configure/build/ctest line from ROADMAP.md
-# plus the sanitizer suites from CMakePresets.json — `ctest -L tsan` under
-# the tsan preset (data races in the parallel search + session server +
-# epoll reactor transport) and the full ctest run under the asan preset
-# (heap errors/leaks, notably the COW snapshot lifecycle and per-connection
-# teardown through the reactor's ops thread), with the reactor/socket
-# suites re-run explicitly so the network gates are visible in the log.
-# The loopback-TCP smoke drives the real rankhow_cli --listen binary over
-# /dev/tcp in both text and binary framing.
-#
-# The chaos suite rides both sanitizer gates: `ctest --preset tsan` picks
-# up chaos_tests_nokill (fault injection, journal recovery, shedding —
-# the subprocess-free subset; SIGKILLing children under tsan is noise),
-# and the asan preset's full ctest includes the kill/crash tests that
-# SIGKILL a real --listen server mid-session. The explicit `-L chaos` run
-# below makes the durability gate visible in the log like the socket one.
+# One-command CI gate: the tier-1 configure/build/ctest line from ROADMAP.md,
+# two loopback smokes against the real binaries, then the sanitizer presets
+# from CMakePresets.json. Each suite runs once per preset:
+#   * tsan  — `ctest --preset tsan` runs every suite labelled `tsan`: the
+#     parallel search, the session server, the epoll reactor (net), the
+#     warm cache, the shard coordinator, the data kernels, and
+#     chaos_tests_nokill (fault injection, journal recovery, shedding — the
+#     subprocess-free chaos subset; SIGKILLing children under tsan is noise);
+#   * asan  — `ctest --preset asan` runs the full suite, including the chaos
+#     tests that SIGKILL a real --listen server mid-session and the
+#     coordinator failover tests that kill real workers;
+#   * ubsan — the batched scoring kernels (`ctest -L kernels`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,47 +33,10 @@ cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --preset tsan
 
-echo "== tsan reactor gate: net suite, explicitly =="
-# The epoll reactor is the most thread-dense subsystem (event loops + ops
-# thread + accept thread + strand completions all touching per-connection
-# state); the explicit -L net run makes its race gate visible in the log.
-(cd build-tsan && ctest --output-on-failure -L net)
-
-echo "== tsan cache gate: warm-start cache suite, explicitly =="
-# The persistent warm cache runs a background writer thread against
-# concurrent publish/draw traffic from every registry strand; the -L cache
-# run makes its race gate visible in the log (the suite includes a
-# 4-thread publish/draw hammer for exactly this preset).
-(cd build-tsan && ctest --output-on-failure -L cache)
-
-echo "== tsan coord gate: shard coordinator suite, explicitly =="
-# The coordinator races downstream session threads against upstream reader
-# threads, the health prober, and the failover replay path; the -L coord
-# run makes that gate visible in the log. (Kill-based failover lives in
-# tests/chaos and rides the asan chaos gate below.)
-(cd build-tsan && ctest --output-on-failure -L coord)
-
 echo "== asan: address-sanitized build + full ctest =="
 cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset asan
-
-echo "== asan socket gate: net + server suites, explicitly =="
-(cd build-asan && ctest --output-on-failure -R '^(net|server)_tests$')
-
-echo "== asan chaos gate: journal recovery + SIGKILL/crash tests =="
-(cd build-asan && ctest --output-on-failure -L chaos)
-
-echo "== asan coord gate: shard coordinator suite, explicitly =="
-# Failover tears down upstream connections while reader threads and
-# pending proxy entries are still live; asan watches those teardown paths.
-(cd build-asan && ctest --output-on-failure -L coord)
-
-echo "== asan cache gate: warm-start cache suite, explicitly =="
-# The cache's round-trip/corruption tests shuttle heap-backed records
-# through open/close/reopen cycles; asan watches the file-descriptor-
-# adjacent buffers and the writer thread's teardown path.
-(cd build-asan && ctest --output-on-failure -L cache)
 
 echo "== ubsan: UB-sanitized build + ctest -L kernels =="
 # The batched scoring kernels (src/data/kernels.cc) lean on blocked FP

@@ -17,10 +17,10 @@ void ThreadGate::Enter() {
 }
 
 void ThreadGate::Exit() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --active_;
-  }
+  // Notify under the lock: WaitIdle's caller may destroy the gate as soon
+  // as it sees active_ == 0, so the notify must finish before it can.
+  std::lock_guard<std::mutex> lock(mu_);
+  --active_;
   cv_.notify_all();
 }
 

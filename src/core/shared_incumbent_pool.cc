@@ -1,11 +1,14 @@
 #include "core/shared_incumbent_pool.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace rankhow {
 
 namespace {
+
+/// Resident-entry bound; overflow evicts the oldest (pure warm-start
+/// heuristics — any policy is sound).
+constexpr size_t kCapacity = 32;
 
 bool SameWeights(const std::vector<double>& a, const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
@@ -17,79 +20,48 @@ bool SameWeights(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-SharedIncumbentPool::SharedIncumbentPool(int capacity)
-    : capacity_(static_cast<size_t>(std::max(1, capacity))) {}
-
 void SharedIncumbentPool::Publish(const void* snapshot_id,
                                   const void* publisher,
                                   const std::vector<double>& weights,
-                                  long error,
-                                  const WarmCache::Entry* durable) {
+                                  long error) {
   if (weights.empty()) return;
-  WarmCache* cache = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache = warm_cache_;
-    ++published_;
-    bool refreshed = false;
-    for (Entry& have : entries_) {
-      if (have.snapshot == snapshot_id && SameWeights(have.weights, weights)) {
-        // Re-proven vector: refresh credentials in place. The sequence
-        // stays put — siblings that saw it once must not re-validate it
-        // per solve.
-        have.error = error;
-        have.publisher = publisher;
-        refreshed = true;
-        break;
-      }
-    }
-    if (!refreshed) {
-      Entry entry;
-      entry.snapshot = snapshot_id;
-      entry.publisher = publisher;
-      entry.weights = weights;
-      entry.error = error;
-      entry.seq = next_seq_++;
-      entries_.push_back(std::move(entry));
-      if (entries_.size() > capacity_) entries_.erase(entries_.begin());
+  std::lock_guard<std::mutex> lock(mu_);
+  ++published_;
+  for (Entry& have : entries_) {
+    if (have.snapshot == snapshot_id && SameWeights(have.weights, weights)) {
+      // Re-proven vector: refresh credentials in place. The sequence stays
+      // put — siblings that saw it once must not re-validate it per solve.
+      have.error = error;
+      have.publisher = publisher;
+      return;
     }
   }
-  // Write-through to the persistent cache, outside mu_ (the cache has its
-  // own locks and never calls back). Pool refreshes still reach the cache:
-  // its own dedup decides whether anything new needs persisting.
-  if (cache != nullptr && durable != nullptr) cache->Publish(*durable);
+  Entry entry;
+  entry.snapshot = snapshot_id;
+  entry.publisher = publisher;
+  entry.weights = weights;
+  entry.error = error;
+  entry.seq = next_seq_++;
+  entries_.push_back(std::move(entry));
+  if (entries_.size() > kCapacity) entries_.erase(entries_.begin());
 }
 
-void SharedIncumbentPool::AttachWarmCache(WarmCache* cache) {
-  std::lock_guard<std::mutex> lock(mu_);
-  warm_cache_ = cache;
-}
-
-bool SharedIncumbentPool::has_warm_cache() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return warm_cache_ != nullptr;
-}
-
-size_t SharedIncumbentPool::CollectNew(
+void SharedIncumbentPool::CollectNew(
     const void* snapshot_id, const void* drawer, uint64_t* seen_seq,
     std::vector<std::vector<double>>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t added = 0;
   for (const Entry& entry : entries_) {
     if (entry.seq <= *seen_seq) continue;
     if (entry.snapshot != snapshot_id || entry.publisher == drawer) continue;
     out->push_back(entry.weights);
-    ++added;
+    ++drawn_;
   }
   *seen_seq = next_seq_ - 1;
-  drawn_ += static_cast<int64_t>(added);
-  return added;
 }
 
 SharedIncumbentPoolStats SharedIncumbentPool::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SharedIncumbentPoolStats stats;
-  stats.size = static_cast<int>(entries_.size());
   stats.published = published_;
   stats.drawn = drawn_;
   return stats;

@@ -39,24 +39,18 @@
 #include <mutex>
 #include <vector>
 
-#include "core/warm_cache.h"
-
 namespace rankhow {
 
-/// Aggregate counters (snapshot; for registry Stats() and the wire `stats`
-/// verb).
+/// The pool's own traffic counters (snapshot; registry Stats() and the
+/// wire `stats` verb read them here).
 struct SharedIncumbentPoolStats {
-  int size = 0;
   int64_t published = 0;
   int64_t drawn = 0;
 };
 
 class SharedIncumbentPool {
  public:
-  /// `capacity` bounds the resident entries; overflow evicts the oldest
-  /// (pure warm-start heuristics — any policy is sound).
-  explicit SharedIncumbentPool(int capacity = 32);
-
+  SharedIncumbentPool() = default;
   SharedIncumbentPool(const SharedIncumbentPool&) = delete;
   SharedIncumbentPool& operator=(const SharedIncumbentPool&) = delete;
 
@@ -67,29 +61,15 @@ class SharedIncumbentPool {
   /// problem. A duplicate weight vector over the same snapshot refreshes
   /// the existing entry in place without bumping its sequence (so sibling
   /// sessions are not woken for a vector they already saw).
-  ///
-  /// `durable`, when non-null and a warm cache is attached, is the
-  /// fingerprint-stamped form of the same winner and is written through to
-  /// the cache (in memory + async disk append) — the pool acting as the
-  /// persistent cache's write-through front. Publishers without a
-  /// fingerprint (no cache configured) pass nullptr and nothing persists.
   void Publish(const void* snapshot_id, const void* publisher,
-               const std::vector<double>& weights, long error,
-               const WarmCache::Entry* durable = nullptr);
-
-  /// Attaches the persistent warm cache this pool fronts (non-owning; must
-  /// outlive the pool; nullptr detaches). The router owns the cache so it
-  /// survives registry — and pool — eviction.
-  void AttachWarmCache(WarmCache* cache);
-  bool has_warm_cache() const;
+               const std::vector<double>& weights, long error);
 
   /// Appends to `*out` every entry over `snapshot_id` published by someone
   /// other than `drawer` with sequence > `*seen_seq`, then advances
-  /// `*seen_seq` to the pool's current sequence. Returns the number of
-  /// entries appended.
-  size_t CollectNew(const void* snapshot_id, const void* drawer,
-                    uint64_t* seen_seq,
-                    std::vector<std::vector<double>>* out) const;
+  /// `*seen_seq` to the pool's current sequence.
+  void CollectNew(const void* snapshot_id, const void* drawer,
+                  uint64_t* seen_seq,
+                  std::vector<std::vector<double>>* out) const;
 
   SharedIncumbentPoolStats Stats() const;
 
@@ -105,10 +85,8 @@ class SharedIncumbentPool {
   mutable std::mutex mu_;
   std::vector<Entry> entries_;  // publication order (oldest first)
   uint64_t next_seq_ = 1;
-  size_t capacity_;
   mutable int64_t drawn_ = 0;
   int64_t published_ = 0;
-  WarmCache* warm_cache_ = nullptr;
 };
 
 }  // namespace rankhow

@@ -156,14 +156,12 @@ Status SolveSession::AppendTuple(const std::vector<double>& values,
   std::vector<int> positions = given_.get().positions();
   positions.push_back(kUnranked);
   RH_ASSIGN_OR_RETURN(Ranking grown, Ranking::Create(std::move(positions)));
-  const int64_t forks_before = data_.forks();
   const int64_t rank_forks_before = given_.forks();
   // Copy-on-write: appending forks a private snapshot iff siblings share
   // this one; either way both handles may re-point, so the problem's
   // dataset and ranking views must be refreshed.
   int id = data_.AppendTuple(values);
   problem_.data = &data_.get();
-  stats_.dataset_forks += data_.forks() - forks_before;
   given_.Reset(std::move(grown));
   problem_.given = &given_.get();
   stats_.ranking_forks += given_.forks() - rank_forks_before;
@@ -244,8 +242,8 @@ Result<RankHowResult> SolveSession::Solve() {
     // session's last draw (revision-checked — see shared_incumbent_pool.h).
     // They join the session's own pool in the revalidation pass below, so
     // they are re-evaluated under *this* session's problem before any use.
-    stats_.shared_draws += static_cast<int64_t>(shared_pool_->CollectNew(
-        data_.snapshot_id(), this, &shared_seen_seq_, &pooled));
+    shared_pool_->CollectNew(data_.snapshot_id(), this, &shared_seen_seq_,
+                             &pooled);
   }
   ProblemFingerprint fp;
   if (warm_cache_ != nullptr) {
@@ -258,12 +256,6 @@ Result<RankHowResult> SolveSession::Solve() {
         gen != cache_drawn_generation_ ||
         gap_semantics != cache_drawn_gap_semantics_) {
       WarmCache::Draw draw = warm_cache_->DrawFor(fp, gap_semantics);
-      if (!draw.exact.empty()) {
-        ++stats_.cache_hits;
-      } else {
-        ++stats_.cache_misses;
-      }
-      stats_.cache_demotions += static_cast<int64_t>(draw.candidates.size());
       // Exact matches and demoted candidates alike enter as revalidation
       // candidates (re-evaluated under *this* problem before any use);
       // only the exact matches' semantics-checked bound survives as is.
@@ -310,7 +302,7 @@ Result<RankHowResult> SolveSession::Solve() {
   if (warm_cache_ != nullptr && cache_bound_ >= 0 &&
       cache_bound_ > seed.lower_bound) {
     seed.lower_bound = cache_bound_;
-    ++stats_.cache_bound_seeds;
+    ++stats_.fingerprint_bound_seeds;
   }
 
   RankHowResult result;
@@ -341,28 +333,21 @@ Result<RankHowResult> SolveSession::Solve() {
   // Cross-client sharing publishes *proven* winners only: unproven
   // incumbents churn the siblings' revalidation passes for candidates the
   // publisher itself may discard next solve. The warm cache gets the same
-  // winners, fingerprint-stamped — through the pool's write-through front
-  // when one is attached, directly otherwise.
-  const bool publish = result.proven_optimal && !result.function.weights.empty();
-  WarmCache::Entry durable;
-  if (publish && warm_cache_ != nullptr) {
-    durable.fp = fp;
-    durable.true_semantics = strategy == SolveStrategy::kSpatial;
-    durable.error = result.claimed_error;
-    durable.weights = result.function.weights;
+  // winners, fingerprint-stamped.
+  if (result.proven_optimal && !result.function.weights.empty()) {
+    if (shared_pool_ != nullptr) {
+      shared_pool_->Publish(data_.snapshot_id(), this,
+                            result.function.weights, result.claimed_error);
+    }
+    if (warm_cache_ != nullptr) {
+      WarmCache::Entry entry;
+      entry.fp = fp;
+      entry.true_semantics = strategy == SolveStrategy::kSpatial;
+      entry.error = result.claimed_error;
+      entry.weights = result.function.weights;
+      warm_cache_->Publish(entry);
+    }
   }
-  if (shared_pool_ != nullptr && publish) {
-    const bool through_pool =
-        warm_cache_ != nullptr && shared_pool_->has_warm_cache();
-    shared_pool_->Publish(data_.snapshot_id(), this, result.function.weights,
-                          result.claimed_error,
-                          through_pool ? &durable : nullptr);
-    ++stats_.shared_publishes;
-    if (warm_cache_ != nullptr && !through_pool) warm_cache_->Publish(durable);
-  } else if (warm_cache_ != nullptr && publish) {
-    warm_cache_->Publish(durable);
-  }
-  if (warm_cache_ != nullptr && publish) ++stats_.cache_publishes;
 
   have_proven_ = result.proven_optimal;
   proven_optimum_ = result.claimed_error;

@@ -86,28 +86,14 @@ struct SolveSessionStats {
   int64_t bound_seeds = 0;
   /// Pool-overflow evictions (dominated-entry policy; see DESIGN.md).
   int64_t pool_evictions = 0;
-  /// Copy-on-write dataset forks this session triggered (AppendTuple on a
-  /// snapshot shared with sibling sessions).
-  int64_t dataset_forks = 0;
-  /// Cross-client pool entries drawn from the attached SharedIncumbentPool
-  /// (each is one extra revalidation candidate; see shared_incumbent_pool.h).
-  int64_t shared_draws = 0;
-  /// Proven winners this session published into the shared pool.
-  int64_t shared_publishes = 0;
   /// Pure-ε edits absorbed as in-place rhs patches on the cached model
   /// (vs the full recompile they used to force; see PatchEpsilonInPlace).
   int64_t eps_patches = 0;
-  /// Warm-cache draws that found >= 1 exact-fingerprint entry / none.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  /// Cache entries demoted to revalidation candidates on fingerprint
-  /// mismatch (never bounds — the warm-cache soundness rule).
-  int64_t cache_demotions = 0;
-  /// Proven winners written through to the persistent warm cache.
-  int64_t cache_publishes = 0;
   /// Solves whose external lower bound came from an exact-fingerprint
-  /// cache entry (tighten-only; semantics-checked like bound_seeds).
-  int64_t cache_bound_seeds = 0;
+  /// warm-cache entry (tighten-only; semantics-checked like bound_seeds).
+  /// The cache counts its own draws and publishes (WarmCache::Stats); only
+  /// the session sees whether a drawn bound was used.
+  int64_t fingerprint_bound_seeds = 0;
   /// Private ranking copies this session made (Reset on a shared snapshot).
   int64_t ranking_forks = 0;
 };
@@ -193,8 +179,7 @@ class SolveSession {
   /// its problem and draws matching entries — exact matches join the
   /// revalidation pool and may seed a tighten-only external bound
   /// (semantics-checked), mismatches are demoted to candidates — and
-  /// publishes its proven winner back (through the shared pool's
-  /// write-through when one is attached, directly otherwise).
+  /// publishes its proven winner back.
   void AttachWarmCache(WarmCache* cache) { warm_cache_ = cache; }
 
   // ------------------------------------------------------------- edits

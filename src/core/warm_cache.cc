@@ -6,37 +6,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "util/framed_records.h"
 #include "util/string_util.h"
 
 namespace rankhow {
 
 namespace {
-
-/// The zlib CRC-32 table, built once (polynomial 0xEDB88320). Shared with
-/// the session journal: JournalCrc32 delegates here so both file formats
-/// checksum identically.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool built = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return true;
-  }();
-  (void)built;
-  return table;
-}
 
 void FnvMix(uint64_t* h, const void* bytes, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(bytes);
@@ -50,6 +30,10 @@ constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 
 constexpr char kMagic[] = "RHW1";
 constexpr char kFileName[] = "warm.cache";
+
+/// Total resident entries across all keys; overflow drops the oldest key
+/// group (pure warm-start state — any policy is sound).
+constexpr int kMaxResidentEntries = 65536;
 
 /// True when two weight vectors agree to 1e-12 per coordinate — the same
 /// dedup tolerance as SharedIncumbentPool::SameWeights.
@@ -82,29 +66,8 @@ bool ParseHex64(const std::string& s, uint64_t* out) {
   return end != nullptr && *end == '\0' && errno == 0;
 }
 
-/// Parses one framed line into an entry; false = corrupt (caller counts).
-bool ParseRecordLine(const std::string& line, WarmCache::Entry* out) {
-  // "RHW1 <crc8hex> <len> <payload>"
-  if (!StartsWith(line, std::string(kMagic) + " ")) return false;
-  const size_t crc_begin = sizeof(kMagic);  // skip "RHW1 " (magic + space)
-  const size_t crc_end = line.find(' ', crc_begin);
-  if (crc_end == std::string::npos) return false;
-  const size_t len_end = line.find(' ', crc_end + 1);
-  if (len_end == std::string::npos) return false;
-  uint32_t crc = 0;
-  {
-    const std::string hex = line.substr(crc_begin, crc_end - crc_begin);
-    if (hex.size() != 8) return false;
-    char* end = nullptr;
-    crc = static_cast<uint32_t>(std::strtoul(hex.c_str(), &end, 16));
-    if (end == nullptr || *end != '\0') return false;
-  }
-  auto len = ParseInt(line.substr(crc_end + 1, len_end - crc_end - 1));
-  if (!len.ok() || *len < 0) return false;
-  const std::string payload = line.substr(len_end + 1);
-  if (static_cast<int64_t>(payload.size()) != *len) return false;
-  if (FrameCrc32(payload) != crc) return false;
-
+/// Parses one record payload; false = corrupt (the reader counts it).
+bool ParseEntry(const std::string& payload, WarmCache::Entry* out) {
   // Payload grammar: "win <dfp> <pfp> <sem> <error> <k> w1 ... wk".
   std::vector<std::string> fields = Split(payload, ' ');
   if (fields.size() < 6 || fields[0] != "win") return false;
@@ -132,15 +95,6 @@ bool ParseRecordLine(const std::string& line, WarmCache::Entry* out) {
 }
 
 }  // namespace
-
-uint32_t FrameCrc32(const std::string& payload) {
-  const uint32_t* table = Crc32Table();
-  uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char ch : payload) {
-    c = table[(c ^ ch) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 uint64_t DatasetFingerprint(const Dataset& data, const Ranking& given) {
   uint64_t h = kFnvOffset;
@@ -248,30 +202,16 @@ Result<std::unique_ptr<WarmCache>> WarmCache::Open(const std::string& dir,
   // Load whatever intact history the file holds. Torn/corrupt records are
   // dropped and counted, never fatal: a vandalized cache degrades to fewer
   // warm starts, and the loud stderr line is the operator's cue.
-  std::ifstream in(path, std::ios::binary);
-  if (in) {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    size_t pos = 0;
-    while (pos < text.size()) {
-      const size_t nl = text.find('\n', pos);
-      if (nl == std::string::npos) {
-        ++cache->stats_.truncated;
-        break;
-      }
-      const std::string line = text.substr(pos, nl - pos);
-      pos = nl + 1;
-      if (line.empty()) continue;
-      Entry entry;
-      if (ParseRecordLine(line, &entry)) {
+  const FramedReadCounts counts = ReadFramedRecords(
+      path, kMagic, [&cache](const std::string& payload) {
+        Entry entry;
+        if (!ParseEntry(payload, &entry)) return false;
         cache->InsertLocked(entry);  // single-threaded here; lock not needed
-        ++cache->stats_.loaded;
-      } else {
-        ++cache->stats_.skipped;
-      }
-    }
-  }
+        return true;
+      });
+  cache->stats_.loaded = counts.intact;
+  cache->stats_.skipped = counts.skipped;
+  cache->stats_.truncated = counts.truncated;
   if (cache->stats_.skipped > 0 || cache->stats_.truncated > 0) {
     std::fprintf(stderr,
                  "rankhow: warm cache %s: dropped %lld corrupt and %lld torn "
@@ -339,7 +279,7 @@ bool WarmCache::InsertLocked(const Entry& entry) {
 
   // Whole-group eviction at the resident cap (oldest dataset first). Pure
   // warm-start state: dropping entries costs warmth, never correctness.
-  while (resident_ > options_.max_resident_entries && key_order_.size() > 1) {
+  while (resident_ > kMaxResidentEntries && key_order_.size() > 1) {
     const uint64_t victim = key_order_.front();
     key_order_.pop_front();
     auto it = by_dataset_.find(victim);
@@ -454,27 +394,13 @@ void WarmCache::AppendBatch(const std::vector<std::string>& records) {
   // truncates away), one fsync per batch.
   std::string failure;
   for (const std::string& payload : records) {
-    const std::string record =
-        StrFormat("%s %08x %d ", kMagic, FrameCrc32(payload),
-                  static_cast<int>(payload.size())) +
-        payload + "\n";
-    const char* p = record.data();
-    size_t left = record.size();
-    while (left > 0) {
-      ssize_t n = ::write(fd_, p, left);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        failure = StrFormat("write failed (%s)", std::strerror(errno));
-        break;
-      }
-      p += n;
-      left -= static_cast<size_t>(n);
+    Result<int64_t> written = AppendFramedRecord(fd_, kMagic, payload);
+    if (!written.ok()) {
+      failure = written.status().message();
+      break;
     }
-    if (!failure.empty()) break;
-    {
-      std::lock_guard<std::mutex> lock(write_mu_);
-      ++appended_;
-    }
+    std::lock_guard<std::mutex> lock(write_mu_);
+    ++appended_;
   }
   if (failure.empty() && options_.fsync_appends && ::fsync(fd_) != 0) {
     failure = StrFormat("fsync failed (%s)", std::strerror(errno));

@@ -35,9 +35,9 @@
 /// use, and its recorded error/bound is discarded. A stale entry costs one
 /// evaluation, never correctness.
 ///
-/// On-disk format — one text record per line, framed exactly like the
-/// session journal (torn-tail truncation, CRC-corrupt skip, line
-/// resynchronization):
+/// On-disk format — one record per line in the CRC-framed format the
+/// session journal also uses (util/framed_records.h: torn-tail truncation,
+/// CRC-corrupt skip, line resynchronization):
 ///
 ///   RHW1 <crc32-hex> <len> <payload>\n
 ///   payload := win <dataset_fp> <problem_fp> <sem> <error> <k> w1 ... wk
@@ -68,10 +68,6 @@
 #include "util/status.h"
 
 namespace rankhow {
-
-/// CRC-32 (IEEE, zlib-compatible) of the payload bytes — the framing
-/// checksum shared by the session journal and the warm cache.
-uint32_t FrameCrc32(const std::string& payload);
 
 /// A cheap identity for "the same dataset + given ranking": FNV-1a over the
 /// shape, attribute names, every value's bit pattern, and the ranked
@@ -111,9 +107,6 @@ ProblemFingerprint FingerprintProblem(uint64_t dataset_fp,
 struct WarmCacheOptions {
   /// Resident (and durable-dedup) cap per exact fingerprint.
   int max_entries_per_key = 4;
-  /// Total resident entries across all keys; overflow drops the oldest key
-  /// group (pure warm-start state — any policy is sound).
-  int max_resident_entries = 65536;
   /// fsync after draining each append batch (off = let the OS flush).
   bool fsync_appends = true;
   /// Publish blocks until the record is on disk (tests/benches that
@@ -121,8 +114,8 @@ struct WarmCacheOptions {
   bool synchronous_appends = false;
 };
 
-/// Aggregate counters (snapshot; surfaced through registry/router stats and
-/// the wire `stats` verb).
+/// Aggregate counters (snapshot; the wire `stats` verb reads them here —
+/// the cache is the one place draws and publishes are counted).
 struct WarmCacheStats {
   /// Draws that found >= 1 exact-fingerprint entry.
   int64_t hits = 0;

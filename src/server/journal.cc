@@ -1,13 +1,10 @@
 #include "server/journal.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include <fcntl.h>
@@ -15,6 +12,7 @@
 #include <unistd.h>
 
 #include "util/fault.h"
+#include "util/framed_records.h"
 #include "util/string_util.h"
 
 namespace rankhow {
@@ -24,10 +22,6 @@ namespace {
 constexpr char kMagic[] = "RHJ1";
 
 }  // namespace
-
-uint32_t JournalCrc32(const std::string& payload) {
-  return FrameCrc32(payload);
-}
 
 Result<std::unique_ptr<SessionJournal>> SessionJournal::Open(
     const std::string& path, const std::string& dataset,
@@ -126,32 +120,20 @@ JournalStats SessionJournal::Stats() const {
 
 void SessionJournal::AppendLocked(const std::string& payload) {
   if (fd_ < 0 || degraded_) return;
-  const std::string record =
-      StrFormat("%s %08x %d ", kMagic, JournalCrc32(payload),
-                static_cast<int>(payload.size())) +
-      payload + "\n";
   // O_APPEND makes each write() one atomic tail append; a crash mid-write
   // leaves at most one torn final record, which Read() truncates away.
-  const char* p = record.data();
-  size_t left = record.size();
-  while (left > 0) {
-    ssize_t n = ::write(fd_, p, left);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      // A failed append is handled like a failed fsync: this process can
-      // no longer promise durability, so degrade loudly and keep serving.
-      ++stats_.fsync_failures;
-      degraded_ = true;
-      std::fprintf(stderr,
-                   "rankhow: journal %s write failed (%s): degrading to "
-                   "journal-off mode\n",
-                   path_.c_str(), std::strerror(errno));
-      return;
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  Result<int64_t> written = AppendFramedRecord(fd_, kMagic, payload);
+  if (!written.ok()) {
+    // A failed append is handled like a failed fsync: this process can
+    // no longer promise durability, so degrade loudly and keep serving.
+    ++stats_.fsync_failures;
+    degraded_ = true;
+    std::fprintf(stderr,
+                 "rankhow: journal %s %s: degrading to journal-off mode\n",
+                 path_.c_str(), written.status().message().c_str());
+    return;
   }
-  active_bytes_ += static_cast<int64_t>(record.size());
+  active_bytes_ += *written;
   ++stats_.records_appended;
   ++unsynced_records_;
   if (options_.fsync_every > 0 && unsynced_records_ >= options_.fsync_every) {
@@ -226,29 +208,8 @@ void SessionJournal::RotateLocked() {
 
 namespace {
 
-/// Parses one framed line into a record; false = corrupt (caller counts).
-bool ParseRecordLine(const std::string& line, JournalRecord* out) {
-  // "RHJ1 <crc8hex> <len> <payload>"
-  if (!StartsWith(line, std::string(kMagic) + " ")) return false;
-  const size_t crc_begin = sizeof(kMagic);  // skip "RHJ1 " (magic + space)
-  const size_t crc_end = line.find(' ', crc_begin);
-  if (crc_end == std::string::npos) return false;
-  const size_t len_end = line.find(' ', crc_end + 1);
-  if (len_end == std::string::npos) return false;
-  uint32_t crc = 0;
-  {
-    const std::string hex = line.substr(crc_begin, crc_end - crc_begin);
-    if (hex.size() != 8) return false;
-    char* end = nullptr;
-    crc = static_cast<uint32_t>(std::strtoul(hex.c_str(), &end, 16));
-    if (end == nullptr || *end != '\0') return false;
-  }
-  auto len = ParseInt(line.substr(crc_end + 1, len_end - crc_end - 1));
-  if (!len.ok() || *len < 0) return false;
-  const std::string payload = line.substr(len_end + 1);
-  if (static_cast<int64_t>(payload.size()) != *len) return false;
-  if (JournalCrc32(payload) != crc) return false;
-
+/// Parses one record payload; false = corrupt (the reader counts it).
+bool ParseRecordPayload(const std::string& payload, JournalRecord* out) {
   // Payload grammar: "open C D FP" | "close C" | "cmd C <line>".
   std::vector<std::string> head = Split(payload, ' ');
   if (head.empty()) return false;
@@ -278,32 +239,16 @@ bool ParseRecordLine(const std::string& line, JournalRecord* out) {
 }
 
 void ReadSegment(const std::string& path, JournalReadback* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;  // missing segment = no history
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  size_t pos = 0;
-  while (pos < text.size()) {
-    const size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Torn tail: the crash landed mid-append. Everything before this
-      // line is intact; the fragment is dropped and counted.
-      ++out->truncated;
-      break;
-    }
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    JournalRecord record;
-    if (ParseRecordLine(line, &record)) {
-      out->records.push_back(std::move(record));
-      ++out->replayed;
-    } else {
-      ++out->skipped;
-    }
-  }
+  const FramedReadCounts counts =
+      ReadFramedRecords(path, kMagic, [out](const std::string& payload) {
+        JournalRecord record;
+        if (!ParseRecordPayload(payload, &record)) return false;
+        out->records.push_back(std::move(record));
+        return true;
+      });
+  out->replayed += counts.intact;
+  out->skipped += counts.skipped;
+  out->truncated += counts.truncated;
 }
 
 }  // namespace

@@ -11,12 +11,12 @@
 /// ApplySessionCommand path reproduces the exact solver-visible state, and
 /// warm incumbents flow back lazily through the SharedIncumbentPool.
 ///
-/// On-disk format — one text record per line:
+/// On-disk format — one record per line in the CRC-framed format of
+/// util/framed_records.h, magic "RHJ1":
 ///
 ///   RHJ1 <crc32-hex> <len> <payload>\n
 ///
-/// where <len> is the payload's byte length and the CRC-32 covers exactly
-/// the payload. Payloads:
+/// Payloads:
 ///
 ///   open <client> <dataset> <fingerprint-hex>   session opened
 ///   close <client>                              session closed
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "app/cli_driver.h"
-#include "core/warm_cache.h"
 #include "data/dataset.h"
 #include "ranking/ranking.h"
 #include "util/status.h"
@@ -99,12 +98,6 @@ struct JournalReadback {
   int64_t skipped = 0;    // CRC/framing-corrupt records dropped
   int64_t truncated = 0;  // torn trailing records dropped (no newline)
 };
-
-/// CRC-32 (IEEE, zlib-compatible) of the payload bytes. Delegates to
-/// FrameCrc32 (core/warm_cache.h) — the journal and the warm cache share
-/// one framing checksum; DatasetFingerprint lives there too so the warm
-/// cache's fingerprints and the journal's open-record stamps agree.
-uint32_t JournalCrc32(const std::string& payload);
 
 class SessionJournal {
  public:

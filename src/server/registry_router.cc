@@ -229,18 +229,10 @@ Status RegistryRouter::Open(const std::string& client,
               std::to_string(options_.max_resident_registries) +
               " and every resident dataset has open clients");
         }
-        SessionRegistryStats retired = victim->second.registry->Stats();
-        commands_retired_ += retired.commands_executed;
-        forks_retired_ += retired.dataset_forks;
-        shared_publishes_retired_ += retired.shared_publishes;
-        shared_draws_retired_ += retired.shared_draws;
-        shed_retired_ += retired.commands_shed;
-        closes_graceful_retired_ += retired.closes_graceful;
-        closes_aborted_retired_ += retired.closes_aborted;
-        cache_hits_retired_ += retired.cache_hits;
-        cache_misses_retired_ += retired.cache_misses;
-        cache_demotions_retired_ += retired.cache_demotions;
-        cache_publishes_retired_ += retired.cache_publishes;
+        // The registry and its shared pool die here, so their counters
+        // move to the retired total; the journal and the warm cache
+        // outlive it and keep counting their own.
+        retired_ += victim->second.registry->Stats();
         ++registries_evicted_;
         doomed.push_back(std::move(victim->second.registry));
         victim->second.registry = nullptr;
@@ -520,30 +512,13 @@ void RegistryRouter::Drain() {
 RegistryRouterStats RegistryRouter::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   RegistryRouterStats stats;
+  static_cast<RegistryCounters&>(stats) = retired_;
   stats.registered_datasets = static_cast<int>(catalog_.size());
-  stats.commands_executed = commands_retired_;
-  stats.dataset_forks = forks_retired_;
-  stats.shared_publishes = shared_publishes_retired_;
-  stats.shared_draws = shared_draws_retired_;
   stats.datasets_loaded = datasets_loaded_;
   stats.registries_evicted = registries_evicted_;
   stats.sessions_evicted = sessions_evicted_;
-  stats.commands_shed = shed_retired_;
-  stats.closes_graceful = closes_graceful_retired_;
-  stats.closes_aborted = closes_aborted_retired_;
-  stats.cache_hits = cache_hits_retired_;
-  stats.cache_misses = cache_misses_retired_;
-  stats.cache_demotions = cache_demotions_retired_;
-  stats.cache_publishes = cache_publishes_retired_;
   stats.recovered = recovered_;
-  if (warm_cache_ != nullptr) {
-    WarmCacheStats c = warm_cache_->Stats();
-    stats.cache_entries = c.entries;
-    stats.cache_appended = c.appended;
-    stats.cache_loaded = c.loaded;
-    stats.cache_skipped = c.skipped;
-    stats.cache_degraded = c.degraded ? 1 : 0;
-  }
+  if (warm_cache_ != nullptr) stats.cache = warm_cache_->Stats();
   for (const auto& [id, entry] : catalog_) {
     (void)id;
     if (entry.journal != nullptr) {
@@ -555,21 +530,7 @@ RegistryRouterStats RegistryRouter::Stats() const {
     }
     if (entry.registry == nullptr) continue;
     ++stats.resident_registries;
-    SessionRegistryStats r = entry.registry->Stats();
-    stats.open_clients += r.open_clients;
-    stats.resident_dataset_copies += r.resident_dataset_copies;
-    stats.commands_executed += r.commands_executed;
-    stats.dataset_forks += r.dataset_forks;
-    stats.shared_publishes += r.shared_publishes;
-    stats.shared_draws += r.shared_draws;
-    stats.pending_commands += r.pending_commands;
-    stats.commands_shed += r.commands_shed;
-    stats.closes_graceful += r.closes_graceful;
-    stats.closes_aborted += r.closes_aborted;
-    stats.cache_hits += r.cache_hits;
-    stats.cache_misses += r.cache_misses;
-    stats.cache_demotions += r.cache_demotions;
-    stats.cache_publishes += r.cache_publishes;
+    stats += entry.registry->Stats();
   }
   return stats;
 }

@@ -96,44 +96,26 @@ struct RecoverReport {
   int64_t replay_failures = 0;
 };
 
-/// Router-level aggregate of every resident registry's Stats() plus the
-/// retired totals of evicted ones (commands/forks stay cumulative across
-/// evictions, mirroring SessionRegistry's own retired-fork accounting).
-struct RegistryRouterStats {
+/// Router-level snapshot: the registry counters and gauges summed over
+/// every resident registry, plus the counters of evicted registries (so
+/// `commands`/`forks` never go backwards), the router's own load and
+/// eviction counts, and what the journals, the warm cache and recovery
+/// report about themselves.
+struct RegistryRouterStats : SessionRegistryStats {
   int registered_datasets = 0;
   int resident_registries = 0;
-  int open_clients = 0;
-  int resident_dataset_copies = 0;
-  int64_t commands_executed = 0;
-  int64_t dataset_forks = 0;
   int64_t datasets_loaded = 0;      // loader invocations (lazy-load metric)
   int64_t registries_evicted = 0;
   int64_t sessions_evicted = 0;
-  int64_t shared_publishes = 0;     // summed over resident shared pools
-  int64_t shared_draws = 0;
-  /// Load-shedding / close accounting, summed like the counters above.
-  int pending_commands = 0;
-  int64_t commands_shed = 0;
-  int64_t closes_graceful = 0;
-  int64_t closes_aborted = 0;
   /// Journal writer totals over every open journal (all 0 when
   /// RouterOptions::journal_dir is empty).
   int64_t journal_records = 0;
   int64_t journal_fsyncs = 0;
   int64_t journal_fsync_failures = 0;
   int journal_degraded = 0;  // journals that fell to journal-off mode
-  /// Warm-cache counters (all 0 when RouterOptions::warm_cache_dir is
-  /// empty): session-side draw accounting summed like the counters above,
-  /// plus the cache's own residency/durability state.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_demotions = 0;
-  int64_t cache_publishes = 0;
-  int cache_entries = 0;        // resident entries in the router's cache
-  int64_t cache_appended = 0;   // records persisted to disk
-  int64_t cache_loaded = 0;     // intact records read back at startup
-  int64_t cache_skipped = 0;    // corrupt records dropped at startup
-  int cache_degraded = 0;       // 1 when writes degraded to cache-off
+  /// The router's warm cache, as the cache counts it (all 0 when
+  /// RouterOptions::warm_cache_dir is empty).
+  WarmCacheStats cache;
   /// The startup RecoverFromJournals() report (zeros when never run).
   RecoverReport recovered;
 };
@@ -255,18 +237,8 @@ class RegistryRouter {
   int64_t datasets_loaded_ = 0;
   int64_t registries_evicted_ = 0;
   int64_t sessions_evicted_ = 0;
-  /// Stats of evicted registries, folded in so totals stay cumulative.
-  int64_t commands_retired_ = 0;
-  int64_t forks_retired_ = 0;
-  int64_t shared_publishes_retired_ = 0;
-  int64_t shared_draws_retired_ = 0;
-  int64_t shed_retired_ = 0;
-  int64_t closes_graceful_retired_ = 0;
-  int64_t closes_aborted_retired_ = 0;
-  int64_t cache_hits_retired_ = 0;
-  int64_t cache_misses_retired_ = 0;
-  int64_t cache_demotions_retired_ = 0;
-  int64_t cache_publishes_retired_ = 0;
+  /// Counters of evicted registries, kept so totals stay cumulative.
+  RegistryCounters retired_;
   RecoverReport recovered_;
 };
 

@@ -24,6 +24,26 @@ Status ClosedStatus() {
 
 }  // namespace
 
+RegistryCounters& RegistryCounters::operator+=(const RegistryCounters& other) {
+  commands_executed += other.commands_executed;
+  dataset_forks += other.dataset_forks;
+  shared_publishes += other.shared_publishes;
+  shared_draws += other.shared_draws;
+  commands_shed += other.commands_shed;
+  closes_graceful += other.closes_graceful;
+  closes_aborted += other.closes_aborted;
+  return *this;
+}
+
+SessionRegistryStats& SessionRegistryStats::operator+=(
+    const SessionRegistryStats& other) {
+  RegistryCounters::operator+=(other);
+  open_clients += other.open_clients;
+  resident_dataset_copies += other.resident_dataset_copies;
+  pending_commands += other.pending_commands;
+  return *this;
+}
+
 SessionRegistry::SessionRegistry(SharedDataset data, Ranking given,
                                  std::vector<std::string> labels,
                                  ServerOptions options)
@@ -34,15 +54,8 @@ SessionRegistry::SessionRegistry(SharedDataset data, Ranking given,
       pool_(ThreadPool::ResolveThreadCount(options_.num_workers)) {
   // One strand solves serially; the pool supplies the parallelism.
   options_.solver.num_threads = 1;
-  // The warm cache publishes through the shared pool (its write-through
-  // front), so a cache-backed registry always has a pool even when
-  // cross-client sharing is off.
-  if (options_.share_incumbents || options_.warm_cache != nullptr) {
-    shared_pool_ =
-        std::make_unique<SharedIncumbentPool>(options_.shared_pool_capacity);
-    if (options_.warm_cache != nullptr) {
-      shared_pool_->AttachWarmCache(options_.warm_cache);
-    }
+  if (options_.share_incumbents) {
+    shared_pool_ = std::make_unique<SharedIncumbentPool>();
   }
 }
 
@@ -143,17 +156,17 @@ Status SessionRegistry::ReplayEdit(const std::string& client,
     entry = it->second;
   }
   // Single-threaded recovery: no strand is running, so touching the
-  // session off-lock is safe (mirrors are refreshed below for Stats()).
+  // session off-lock is safe.
   RH_RETURN_NOT_OK(ApplySessionCommand(entry->session.get(), cmd, labels_));
   std::lock_guard<std::mutex> lock(mu_);
-  const SolveSessionStats& st = entry->session->stats();
-  entry->snapshot_id = entry->session->shared_data().snapshot_id();
-  entry->dataset_forks = st.dataset_forks;
-  entry->cache_hits = st.cache_hits;
-  entry->cache_misses = st.cache_misses;
-  entry->cache_demotions = st.cache_demotions;
-  entry->cache_publishes = st.cache_publishes;
+  NoteSnapshotLocked(entry.get());
   return Status();
+}
+
+void SessionRegistry::NoteSnapshotLocked(Client* client) {
+  const void* id = client->session->shared_data().snapshot_id();
+  if (id != client->snapshot_id) ++dataset_forks_;
+  client->snapshot_id = id;
 }
 
 Status SessionRegistry::Submit(const std::string& client,
@@ -234,15 +247,7 @@ void SessionRegistry::RunStrand(const std::string& name,
     client->cancel->store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // Publish the post-command mirrors so Stats() never touches the
-      // session object itself (the strand mutates it outside mu_).
-      const SolveSessionStats& st = client->session->stats();
-      client->snapshot_id = client->session->shared_data().snapshot_id();
-      client->dataset_forks = st.dataset_forks;
-      client->cache_hits = st.cache_hits;
-      client->cache_misses = st.cache_misses;
-      client->cache_demotions = st.cache_demotions;
-      client->cache_publishes = st.cache_publishes;
+      NoteSnapshotLocked(client.get());
       ++commands_executed_;
       --pending_commands_;
     }
@@ -292,16 +297,10 @@ Status SessionRegistry::Close(const std::string& client, bool graceful) {
   // Re-check identity before erasing: a concurrent Close may have finished
   // first (and a third party may even have re-Opened the name) — erasing
   // by name alone would destroy the wrong, live client and double-count
-  // the retired forks.
+  // the close.
   auto again = clients_.find(client);
   bool erased = false;
   if (again != clients_.end() && again->second == entry) {
-    // Keep Stats() cumulative across closed clients.
-    forks_retired_ += entry->dataset_forks;
-    cache_hits_retired_ += entry->cache_hits;
-    cache_misses_retired_ += entry->cache_misses;
-    cache_demotions_retired_ += entry->cache_demotions;
-    cache_publishes_retired_ += entry->cache_publishes;
     clients_.erase(again);
     erased = true;
     if (graceful) {
@@ -330,33 +329,21 @@ SessionRegistryStats SessionRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionRegistryStats stats;
   stats.open_clients = static_cast<int>(clients_.size());
-  stats.commands_executed = commands_executed_;
-  std::set<const void*> snapshots;
-  snapshots.insert(base_.snapshot_id());
-  stats.dataset_forks = forks_retired_;
-  stats.cache_hits = cache_hits_retired_;
-  stats.cache_misses = cache_misses_retired_;
-  stats.cache_demotions = cache_demotions_retired_;
-  stats.cache_publishes = cache_publishes_retired_;
+  std::set<const void*> snapshots = {base_.snapshot_id()};
   for (const auto& [name, client] : clients_) {
     (void)name;
-    if (client->snapshot_id != nullptr) snapshots.insert(client->snapshot_id);
-    stats.dataset_forks += client->dataset_forks;
-    stats.cache_hits += client->cache_hits;
-    stats.cache_misses += client->cache_misses;
-    stats.cache_demotions += client->cache_demotions;
-    stats.cache_publishes += client->cache_publishes;
+    snapshots.insert(client->snapshot_id);
   }
   stats.resident_dataset_copies = static_cast<int>(snapshots.size());
+  stats.commands_executed = commands_executed_;
+  stats.dataset_forks = dataset_forks_;
   stats.pending_commands = pending_commands_;
   stats.commands_shed = commands_shed_;
   stats.closes_graceful = closes_graceful_;
   stats.closes_aborted = closes_aborted_;
   if (shared_pool_ != nullptr) {
-    // The pool has its own lock; draw/publish totals come from it rather
-    // than per-session stats so closed clients stay counted.
-    SharedIncumbentPoolStats pool = shared_pool_->Stats();
-    stats.shared_pool_size = pool.size;
+    // The pool has its own lock and counts its own traffic.
+    const SharedIncumbentPoolStats pool = shared_pool_->Stats();
     stats.shared_publishes = pool.published;
     stats.shared_draws = pool.drawn;
   }

@@ -75,8 +75,6 @@ struct ServerOptions {
   /// optimal weight vectors a solve reports, timing-dependently — disable
   /// where bit-identical replays matter (the PR 4 equivalence harness does).
   bool share_incumbents = true;
-  /// Resident-entry cap of the shared pool (ignored when sharing is off).
-  int shared_pool_capacity = 32;
   /// Write-ahead journal for this registry's session traffic (non-owning;
   /// null = journaling off; must outlive the registry — the router owns
   /// both and destroys the registry first). Every accepted edit plus
@@ -85,9 +83,7 @@ struct ServerOptions {
   SessionJournal* journal = nullptr;
   /// Persistent warm-start cache (non-owning; null = cache off; must
   /// outlive the registry — the router owns it precisely so warm state
-  /// survives registry eviction). When set, the registry creates the
-  /// shared incumbent pool even with share_incumbents off (the pool is the
-  /// cache's write-through front), attaches the cache to the pool and to
+  /// survives registry eviction). When set, the registry attaches it to
   /// every client session, and sessions draw/publish fingerprint-keyed
   /// proven winners across restarts.
   WarmCache* warm_cache = nullptr;
@@ -100,24 +96,20 @@ struct ServerOptions {
   int shed_retry_after_ms = 250;
 };
 
-/// Aggregate registry counters (snapshot; see Stats()).
-struct SessionRegistryStats {
-  int open_clients = 0;
-  /// Distinct physical dataset snapshots resident across the registry's
-  /// base handle and every open client — 1 until some client's structural
-  /// edit forks (the acceptance metric for the COW layer).
-  int resident_dataset_copies = 0;
+/// A registry's cumulative counters: what the registry counts itself
+/// (commands, copy-on-write forks, shed submits, closes) plus what its
+/// shared incumbent pool counts (publishes, draws). Summable, so the router
+/// keeps an evicted registry's totals with one `+=`.
+struct RegistryCounters {
   /// Commands fully executed (callback delivered), across all clients.
   int64_t commands_executed = 0;
-  /// Copy-on-write forks performed by clients since the registry opened.
+  /// Copy-on-write forks: a client's dataset snapshot changed across a
+  /// command (an `append` on a snapshot still shared with siblings).
   int64_t dataset_forks = 0;
-  /// Cross-client shared incumbent pool counters (all 0 when
+  /// Cross-client shared incumbent pool traffic (0 when
   /// ServerOptions::share_incumbents is off).
-  int shared_pool_size = 0;
   int64_t shared_publishes = 0;
   int64_t shared_draws = 0;
-  /// Commands queued or in flight right now (the shedding watermark input).
-  int pending_commands = 0;
   /// Submits rejected by the overload-shedding admission gate.
   int64_t commands_shed = 0;
   /// Close accounting: graceful (wire `close` / quit — the queue finished
@@ -125,14 +117,24 @@ struct SessionRegistryStats {
   /// Distinct so chaos tests can assert a vanished peer was *aborted*.
   int64_t closes_graceful = 0;
   int64_t closes_aborted = 0;
-  /// Warm-cache counters, summed over this registry's sessions (live +
-  /// closed — all 0 when ServerOptions::warm_cache is null). Hit = a solve
-  /// drew >= 1 exact-fingerprint entry; demotion = a mismatched entry
-  /// handed out as a revalidation candidate, never a bound.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_demotions = 0;
-  int64_t cache_publishes = 0;
+
+  RegistryCounters& operator+=(const RegistryCounters& other);
+};
+
+/// A registry snapshot (see Stats()): its counters plus the gauges that
+/// describe it right now. Warm-cache traffic is not here — the cache counts
+/// it (WarmCache::Stats), and a router shares one cache across registries.
+struct SessionRegistryStats : RegistryCounters {
+  int open_clients = 0;
+  /// Distinct physical dataset snapshots resident across the registry's
+  /// base handle and every open client — 1 until some client's structural
+  /// edit forks (the acceptance metric for the COW layer).
+  int resident_dataset_copies = 0;
+  /// Commands queued or in flight right now (the shedding watermark input).
+  int pending_commands = 0;
+
+  /// Sums counters and gauges alike (the router's total over registries).
+  SessionRegistryStats& operator+=(const SessionRegistryStats& other);
 };
 
 /// Per-command completion signature shared by SessionRegistry and the
@@ -211,6 +213,9 @@ class SessionRegistry {
 
   SessionRegistryStats Stats() const;
   const std::vector<std::string>& labels() const { return labels_; }
+  /// The attached warm cache (null when off), which counts its own draws
+  /// and publishes.
+  WarmCache* warm_cache() const { return options_.warm_cache; }
 
   /// True iff any client has a command running or queued (a non-blocking
   /// peek — the answer can be stale by the time the caller acts on it; the
@@ -232,20 +237,19 @@ class SessionRegistry {
     /// Rebuilt from the journal, not yet claimed by a connection (see
     /// OpenRecovered/Adopt).
     bool recovered = false;
-    /// Mirrors published under mu_ after each command, so Stats() never
-    /// reads the session while its strand mutates it off-lock.
+    /// The session's dataset snapshot as of its last command, published
+    /// under mu_ so Stats() never reads the session while its strand
+    /// mutates it off-lock.
     const void* snapshot_id = nullptr;
-    int64_t dataset_forks = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
-    int64_t cache_demotions = 0;
-    int64_t cache_publishes = 0;
   };
 
   /// The strand body: drains `client`'s queue one command at a time.
   void RunStrand(const std::string& name, std::shared_ptr<Client> client);
   /// Open with or without the recovered mark (shared implementation).
   Status OpenInternal(const std::string& client, bool recovered);
+  /// Publishes the client's current snapshot id after a command; a changed
+  /// id is a copy-on-write fork. Must hold mu_.
+  void NoteSnapshotLocked(Client* client);
 
   SharedDataset base_;
   /// COW handle: every client session shares this one physical ranking
@@ -263,13 +267,7 @@ class SessionRegistry {
   std::condition_variable idle_cv_;
   std::map<std::string, std::shared_ptr<Client>> clients_;
   int64_t commands_executed_ = 0;
-  /// Counters retired from since-closed clients (Stats() adds the open
-  /// clients' live mirrors, keeping the totals cumulative).
-  int64_t forks_retired_ = 0;
-  int64_t cache_hits_retired_ = 0;
-  int64_t cache_misses_retired_ = 0;
-  int64_t cache_demotions_retired_ = 0;
-  int64_t cache_publishes_retired_ = 0;
+  int64_t dataset_forks_ = 0;
   /// Queued + in-flight commands across all clients (shedding input).
   int pending_commands_ = 0;
   int64_t commands_shed_ = 0;

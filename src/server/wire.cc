@@ -1,16 +1,15 @@
 #include "server/wire.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <istream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <utility>
 
-#include "net/fd_stream.h"
 #include "util/string_util.h"
 
 namespace rankhow {
@@ -30,18 +29,22 @@ void SplitHead(const std::string& line, std::string* head,
   *tail = std::string(Trim(line.substr(sep + 1)));
 }
 
-/// Folds FdStreamBuf's process-wide retry counter into the shared gauge
-/// (delta since the last fold), so `stats`/`metrics` report one
-/// writes_retried number covering both the reactor's partial sends and
-/// the buffered-stream helpers.
-void FoldStreamRetries(ServerMetrics* metrics) {
-  static std::atomic<uint64_t> folded{0};
-  const uint64_t total = FdStreamBuf::TotalWritesRetried();
-  uint64_t prev = folded.exchange(total, std::memory_order_relaxed);
-  if (total > prev) {
-    metrics->writes_retried.fetch_add(static_cast<int64_t>(total - prev),
-                                      std::memory_order_relaxed);
+/// One `stats` field: its wire name next to its value.
+struct StatsField {
+  const char* name;
+  int64_t value;
+};
+
+/// The `stats` body: "name=value" per field, space-separated, in order.
+std::string RenderStatsLine(std::initializer_list<StatsField> fields) {
+  std::string line;
+  for (const StatsField& field : fields) {
+    if (!line.empty()) line += ' ';
+    line += field.name;
+    line += '=';
+    line += std::to_string(field.value);
   }
+  return line;
 }
 
 uint64_t ElapsedUsec(std::chrono::steady_clock::time_point start) {
@@ -194,24 +197,26 @@ WireBackend MakeWireBackend(SessionRegistry* registry) {
     return registry->Submit(client, std::move(cmd), std::move(done));
   };
   backend.stats_line = [registry] {
-    SessionRegistryStats stats = registry->Stats();
-    return StrFormat(
-        "clients=%d datasets=%d commands=%lld forks=%lld "
-        "shared_published=%lld shared_drawn=%lld pending=%d shed=%lld "
-        "closed_graceful=%lld closed_aborted=%lld cache_hits=%lld "
-        "cache_misses=%lld cache_demotions=%lld cache_publishes=%lld",
-        stats.open_clients, stats.resident_dataset_copies,
-        static_cast<long long>(stats.commands_executed),
-        static_cast<long long>(stats.dataset_forks),
-        static_cast<long long>(stats.shared_publishes),
-        static_cast<long long>(stats.shared_draws), stats.pending_commands,
-        static_cast<long long>(stats.commands_shed),
-        static_cast<long long>(stats.closes_graceful),
-        static_cast<long long>(stats.closes_aborted),
-        static_cast<long long>(stats.cache_hits),
-        static_cast<long long>(stats.cache_misses),
-        static_cast<long long>(stats.cache_demotions),
-        static_cast<long long>(stats.cache_publishes));
+    const SessionRegistryStats r = registry->Stats();
+    const WarmCacheStats c = registry->warm_cache() != nullptr
+                                 ? registry->warm_cache()->Stats()
+                                 : WarmCacheStats();
+    return RenderStatsLine({
+        {"clients", r.open_clients},
+        {"datasets", r.resident_dataset_copies},
+        {"commands", r.commands_executed},
+        {"forks", r.dataset_forks},
+        {"shared_published", r.shared_publishes},
+        {"shared_drawn", r.shared_draws},
+        {"pending", r.pending_commands},
+        {"shed", r.commands_shed},
+        {"closed_graceful", r.closes_graceful},
+        {"closed_aborted", r.closes_aborted},
+        {"cache_hits", c.hits},
+        {"cache_misses", c.misses},
+        {"cache_demotions", c.demotions},
+        {"cache_publishes", c.published},
+    });
   };
   backend.drain_all = [registry] { registry->Drain(); };
   return backend;
@@ -238,45 +243,40 @@ WireBackend MakeWireBackend(RegistryRouter* router) {
     return router->Submit(client, std::move(cmd), std::move(done));
   };
   backend.stats_line = [router] {
-    RegistryRouterStats stats = router->Stats();
-    return StrFormat(
-        "registries=%d clients=%d datasets=%d commands=%lld forks=%lld "
-        "loaded=%lld evicted_registries=%lld evicted_sessions=%lld "
-        "shared_published=%lld shared_drawn=%lld pending=%d shed=%lld "
-        "closed_graceful=%lld closed_aborted=%lld journal_records=%lld "
-        "journal_fsyncs=%lld journal_fsync_failures=%lld "
-        "journal_degraded=%d recover_replayed=%lld recover_truncated=%lld "
-        "recover_skipped=%lld recover_sessions=%d cache_hits=%lld "
-        "cache_misses=%lld cache_demotions=%lld cache_publishes=%lld "
-        "cache_entries=%d cache_appended=%lld cache_loaded=%lld "
-        "cache_skipped=%lld cache_degraded=%d",
-        stats.resident_registries, stats.open_clients,
-        stats.resident_dataset_copies,
-        static_cast<long long>(stats.commands_executed),
-        static_cast<long long>(stats.dataset_forks),
-        static_cast<long long>(stats.datasets_loaded),
-        static_cast<long long>(stats.registries_evicted),
-        static_cast<long long>(stats.sessions_evicted),
-        static_cast<long long>(stats.shared_publishes),
-        static_cast<long long>(stats.shared_draws), stats.pending_commands,
-        static_cast<long long>(stats.commands_shed),
-        static_cast<long long>(stats.closes_graceful),
-        static_cast<long long>(stats.closes_aborted),
-        static_cast<long long>(stats.journal_records),
-        static_cast<long long>(stats.journal_fsyncs),
-        static_cast<long long>(stats.journal_fsync_failures),
-        stats.journal_degraded,
-        static_cast<long long>(stats.recovered.replayed),
-        static_cast<long long>(stats.recovered.truncated),
-        static_cast<long long>(stats.recovered.skipped),
-        stats.recovered.sessions,
-        static_cast<long long>(stats.cache_hits),
-        static_cast<long long>(stats.cache_misses),
-        static_cast<long long>(stats.cache_demotions),
-        static_cast<long long>(stats.cache_publishes), stats.cache_entries,
-        static_cast<long long>(stats.cache_appended),
-        static_cast<long long>(stats.cache_loaded),
-        static_cast<long long>(stats.cache_skipped), stats.cache_degraded);
+    const RegistryRouterStats s = router->Stats();
+    return RenderStatsLine({
+        {"registries", s.resident_registries},
+        {"clients", s.open_clients},
+        {"datasets", s.resident_dataset_copies},
+        {"commands", s.commands_executed},
+        {"forks", s.dataset_forks},
+        {"loaded", s.datasets_loaded},
+        {"evicted_registries", s.registries_evicted},
+        {"evicted_sessions", s.sessions_evicted},
+        {"shared_published", s.shared_publishes},
+        {"shared_drawn", s.shared_draws},
+        {"pending", s.pending_commands},
+        {"shed", s.commands_shed},
+        {"closed_graceful", s.closes_graceful},
+        {"closed_aborted", s.closes_aborted},
+        {"journal_records", s.journal_records},
+        {"journal_fsyncs", s.journal_fsyncs},
+        {"journal_fsync_failures", s.journal_fsync_failures},
+        {"journal_degraded", s.journal_degraded},
+        {"recover_replayed", s.recovered.replayed},
+        {"recover_truncated", s.recovered.truncated},
+        {"recover_skipped", s.recovered.skipped},
+        {"recover_sessions", s.recovered.sessions},
+        {"cache_hits", s.cache.hits},
+        {"cache_misses", s.cache.misses},
+        {"cache_demotions", s.cache.demotions},
+        {"cache_publishes", s.cache.published},
+        {"cache_entries", s.cache.entries},
+        {"cache_appended", s.cache.appended},
+        {"cache_loaded", s.cache.loaded},
+        {"cache_skipped", s.cache.skipped},
+        {"cache_degraded", s.cache.degraded},
+    });
   };
   backend.drain_all = [router] { router->Drain(); };
   return backend;
@@ -405,7 +405,6 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kStats: {
       if (options_.metrics != nullptr) {
-        FoldStreamRetries(options_.metrics);
         Emit("ok stats " + backend_->stats_line() + " " +
              options_.metrics->RenderStatsFields());
       } else {
@@ -419,7 +418,6 @@ void WireConnection::HandleMessage(const std::string& payload) {
         Emit("err - metrics unavailable on this server");
         break;
       }
-      FoldStreamRetries(options_.metrics);
       Emit("ok metrics " + options_.metrics->RenderWireLine());
       RecordVerb(WireVerb::kMetrics, start);
       break;

@@ -103,20 +103,6 @@ int64_t FaultInjector::Param(const std::string& point) {
   return it == points_.end() ? 0 : it->second.threshold;
 }
 
-bool FaultInjector::ConsumeBudget(const std::string& point, int64_t amount) {
-  if (armed_.load(std::memory_order_relaxed) == 0) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(point);
-  if (it == points_.end() || it->second.exhausted) return false;
-  Point& p = it->second;
-  p.consumed += amount;
-  if (p.consumed >= p.threshold) {
-    p.exhausted = true;  // one drop per arming
-    return true;
-  }
-  return false;
-}
-
 void FaultInjector::MaybeCrash(const std::string& point) {
   if (!Hit(point)) return;
   // SIGKILL, not abort/exit: no atexit handlers, no stream flushes, no

@@ -5,7 +5,7 @@
 /// The fault-injection harness behind the chaos suite (tests/chaos/): a
 /// process-global registry of named injection points that production code
 /// consults at the few places where failures are interesting — journal
-/// fsync/rotate, the strand executor, the socket write path — and that
+/// fsync/rotate and append, and the strand executor — and that
 /// tests (or the RANKHOW_FAULTS environment variable, for spawned server
 /// processes) arm to force those failures deterministically.
 ///
@@ -16,8 +16,8 @@
 ///
 /// Arming semantics: Arm(point, n, count) makes the point *fire* on its
 /// n-th Hit() and for `count-1` further hits (count = -1 fires forever).
-/// Parameter-style points (delays, byte budgets) read the armed value
-/// without consuming it via Param()/ConsumeBudget().
+/// Parameter-style points (delays) read the armed value without consuming
+/// it via Param().
 ///
 /// Environment syntax (parsed once, on first Global() use):
 ///   RANKHOW_FAULTS="crash-after-journal-append=3,journal-fsync-fail=1:-1"
@@ -46,9 +46,6 @@ inline constexpr char kCrashAfterJournalAppend[] =
 /// Strand executor: sleep this many milliseconds before each command runs
 /// (a parameter point — widens race/shedding windows deterministically).
 inline constexpr char kStrandDelayMs[] = "strand-delay-ms";
-/// Socket write path: hard-drop the connection after this many bytes have
-/// been sent (a budget point — simulates a peer vanishing mid-response).
-inline constexpr char kConnDropAfterBytes[] = "conn-drop-after-bytes";
 }  // namespace faults
 
 class FaultInjector {
@@ -57,8 +54,8 @@ class FaultInjector {
   static FaultInjector& Global();
 
   /// Arms `point` to fire on its n-th Hit (n >= 1) and for count-1 further
-  /// hits (count = -1: forever). For Param/ConsumeBudget points, `n` is the
-  /// parameter value.
+  /// hits (count = -1: forever). For Param points, `n` is the parameter
+  /// value.
   void Arm(const std::string& point, int64_t n, int64_t count = 1);
   void Disarm(const std::string& point);
   /// Disarms everything (tests call this between cases).
@@ -72,11 +69,6 @@ class FaultInjector {
   /// consumes.
   int64_t Param(const std::string& point);
 
-  /// Budget-point check: subtracts `amount` from the armed budget and
-  /// returns true on the call that crosses it (then stays exhausted until
-  /// disarmed). False when unarmed.
-  bool ConsumeBudget(const std::string& point, int64_t amount);
-
   /// Crash-point: if Hit(point) fires, SIGKILL this process — the genuine
   /// no-destructors, no-flush death the recovery path must survive.
   void MaybeCrash(const std::string& point);
@@ -85,10 +77,9 @@ class FaultInjector {
   FaultInjector();
 
   struct Point {
-    int64_t threshold = 1;  // fire on this hit (1-based) / param / budget
+    int64_t threshold = 1;  // fire on this hit (1-based) / param
     int64_t count = 1;      // firings remaining after threshold (-1 = inf)
     int64_t hits = 0;       // Hit() calls so far
-    int64_t consumed = 0;   // ConsumeBudget total
     bool exhausted = false;
   };
 

@@ -112,9 +112,8 @@ struct ServerMetrics {
   std::atomic<int64_t> eof_closes{0};
   /// High-water mark of any single connection's queued write bytes.
   std::atomic<int64_t> writes_queued_peak{0};
-  /// Short/interrupted socket writes that were retried instead of failed
-  /// (reactor partial sends + FdStreamBuf retries, summed at read time by
-  /// the stats verb).
+  /// Short/interrupted socket writes the reactor retried instead of
+  /// failing (partial sends resumed from the outbox).
   std::atomic<int64_t> writes_retried{0};
   /// Requests dropped because a frame/line failed to decode (the
   /// connection abort-closes; siblings are untouched).

@@ -346,8 +346,8 @@ TEST(WarmCacheSessionTest, RestartWarmSolveMatchesColdExactly) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->proven_optimal);
     cold_error = r->error;
-    EXPECT_EQ(session.stats().cache_misses, 1);
-    EXPECT_GT(session.stats().cache_publishes, 0);
+    EXPECT_EQ((*cache)->Stats().misses, 1);
+    EXPECT_GT((*cache)->Stats().published, 0);
   }
   // "Restart": a brand-new cache object over the same directory and a
   // brand-new session — nothing carries over but the file.
@@ -361,8 +361,8 @@ TEST(WarmCacheSessionTest, RestartWarmSolveMatchesColdExactly) {
   EXPECT_TRUE(warm->proven_optimal);
   EXPECT_EQ(warm->error, cold_error)
       << "restart-warm equivalence broken: warm first solve disagrees";
-  EXPECT_EQ(session.stats().cache_hits, 1);
-  EXPECT_GT(session.stats().cache_bound_seeds, 0);
+  EXPECT_EQ((*cache)->Stats().hits, 1);
+  EXPECT_GT(session.stats().fingerprint_bound_seeds, 0);
   EXPECT_EQ(warm->stats.nodes_explored, 0)
       << "an exact-fingerprint winner + bound must close at the root";
 }
@@ -400,9 +400,9 @@ TEST(WarmCacheSessionTest, EditedProblemDrawsDemotionsAndNeverABound) {
   auto edited = session.Solve();
   ASSERT_TRUE(edited.ok()) << edited.status().ToString();
   EXPECT_TRUE(edited->proven_optimal);
-  EXPECT_GT(session.stats().cache_demotions, 0)
+  EXPECT_GT((*cache)->Stats().demotions, 0)
       << "the stale winner never surfaced as a candidate";
-  EXPECT_EQ(session.stats().cache_bound_seeds, 0)
+  EXPECT_EQ(session.stats().fingerprint_bound_seeds, 0)
       << "a mismatched cache entry seeded a bound (UNSOUND)";
 
   SolveSession cold(data, given, options);

@@ -251,7 +251,7 @@ class FakeWorker {
     }
     port_ = ntohs(sin.sin_port);
     stopping_.store(false);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
+    accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
     return true;
   }
 
@@ -278,9 +278,11 @@ class FakeWorker {
   int port() const { return port_; }
 
  private:
-  void AcceptLoop() {
+  /// Takes the listening fd by value: Stop() resets listen_fd_ while this
+  /// thread may still be parked in accept().
+  void AcceptLoop(int listen_fd) {
     for (;;) {
-      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_.load()) {

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "app/cli_driver.h"
+#include "core/warm_cache.h"
 #include "ranking/ranking.h"
 #include "server/journal.h"
 #include "util/random.h"
