@@ -9,8 +9,9 @@
 // error, time growing mildly with k, correlated easiest) is preserved.
 //
 // With --compare=1 (default) every configuration also runs with the legacy
-// cold-start node LPs, and the table reports total simplex pivots for both
-// engines plus the cold/warm ratio — the acceptance metric for the
+// cold-start node LPs, and the table reports LP iterations for both engines
+// (BnbStats::lp_iterations: iterations of the node LP solves that returned
+// a solution) plus the cold/warm ratio — the acceptance metric for the
 // warm-started incremental LP subsystem (DESIGN.md "Incremental LP
 // architecture"). Pivot counts are zero for configurations the auto
 // strategy routes to the spatial search with no general P rows (no LP runs

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command CI gate: the tier-1 configure/build/ctest line from ROADMAP.md,
-# two loopback smokes against the real binaries, then the sanitizer presets
-# from CMakePresets.json. Each suite runs once per preset:
+# two loopback smokes against the real binaries, the repository benchmark's
+# own tests, then the sanitizer presets from CMakePresets.json. Each suite
+# runs once per preset:
 #   * tsan  — `ctest --preset tsan` runs every suite labelled `tsan`: the
 #     parallel search, the session server, the epoll reactor (net), the
 #     warm cache, the shard coordinator, the data kernels, and
@@ -10,7 +11,8 @@
 #   * asan  — `ctest --preset asan` runs the full suite, including the chaos
 #     tests that SIGKILL a real --listen server mid-session and the
 #     coordinator failover tests that kill real workers;
-#   * ubsan — the batched scoring kernels (`ctest -L kernels`).
+#   * ubsan — the batched scoring kernels and the LP engine with the MILP
+#     search over it (`ctest -L 'kernels|lp'`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +30,11 @@ echo "== coordinator smoke: rankhow_coord fronting 2 workers =="
 # and the aggregated stats line must carry the coord_* breakdown.
 bash scripts/smoke_coord.sh build
 
+echo "== perfbench: the repository benchmark's tiny-mode tests =="
+# perfbench builds all of src/ through its own CMake project (into
+# .bench_build), so this is also the only gate that compiles it.
+python3 perfbench/test_perfbench.py
+
 echo "== tsan: thread-sanitized build + ctest -L tsan =="
 cmake --preset tsan
 cmake --build --preset tsan -j
@@ -38,11 +45,12 @@ cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset asan
 
-echo "== ubsan: UB-sanitized build + ctest -L kernels =="
+echo "== ubsan: UB-sanitized build + ctest -L 'kernels|lp' =="
 # The batched scoring kernels (src/data/kernels.cc) lean on blocked FP
-# accumulation and branch-free integer masks; the ubsan preset runs the
-# kernel equivalence suite to catch signed overflow / bad shifts / invalid
-# casts that -Wall cannot see.
+# accumulation and branch-free integer masks, and the incremental LP's
+# row-sparse elimination indexes the tableau through a gathered list of
+# column pairs; the ubsan preset runs the kernel, LP and MILP suites to
+# catch signed overflow / bad shifts / invalid casts that -Wall cannot see.
 cmake --preset ubsan
 cmake --build --preset ubsan -j
 ctest --preset ubsan

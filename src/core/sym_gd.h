@@ -84,9 +84,10 @@ struct SymGdResult {
   /// over every racing descent, not just the winner).
   long total_nodes = 0;
   long total_free_indicators = 0;
-  /// Aggregate LP effort across all cell solves: total simplex pivots and
-  /// the warm/cold solve split (see BnbStats) — the figures bench_fig3jkl
-  /// uses to quantify the warm-start win.
+  /// Aggregate LP effort across all cell solves: BnbStats::lp_iterations
+  /// (iterations of the node LP solves that returned a solution, not every
+  /// pivot) and the warm/cold solve split — the figures bench_fig3jkl uses
+  /// to quantify the warm-start win.
   long total_lp_pivots = 0;
   long total_lp_warm_solves = 0;
   long total_lp_cold_solves = 0;

@@ -193,7 +193,9 @@ void IncrementalLp::SetRowActive(int row, bool active) {
 void IncrementalLp::Factorize() {
   const int m = static_cast<int>(rows_.size());
   const int ncols = num_structural_ + m;
-  tab_.assign(m, std::vector<double>(ncols, 0.0));
+  // A search rebuilds many times over one instance: reuse the row buffers.
+  tab_.resize(m);
+  for (std::vector<double>& row : tab_) row.assign(ncols, 0.0);
   rhs0_.assign(m, 0.0);
   basic_.assign(m, -1);
   beta_.assign(m, 0.0);
@@ -220,6 +222,31 @@ void IncrementalLp::PivotTab(int row, int col) {
   for (int c = 0; c < ncols; ++c) pr[c] *= inv;
   pr[col] = 1.0;  // exact
   rhs0_[row] *= inv;
+  // Row-sparse elimination. The pivot row's nonzero columns are gathered
+  // once, as the column pairs {c, c + 1} (c even) holding a nonzero, and
+  // every update below touches only those pairs, a pair at a time (one
+  // two-wide vector operation). Skipping an all-zero pair leaves its
+  // entries as they were, except possibly for the sign of a zero, which no
+  // ratio test, tolerance check or pivot choice can see, so the search
+  // takes exactly the steps a dense update would.
+  std::vector<int>& pairs = pivot_pairs_;
+  pairs.clear();
+  for (int c = 0; c + 1 < ncols; c += 2) {
+    if (pr[c] != 0.0 || pr[c + 1] != 0.0) pairs.push_back(c);
+  }
+  const bool odd_tail = ncols % 2 == 1 && pr[ncols - 1] != 0.0;
+  const double* p = pr.data();
+  auto eliminate = [&](double f, double* t) {
+    for (int c : pairs) {
+      // Both loads come before both stores, so the compiler can pack the
+      // pair without proving that t and p do not alias.
+      const double t0 = t[c] - f * p[c];
+      const double t1 = t[c + 1] - f * p[c + 1];
+      t[c] = t0;
+      t[c + 1] = t1;
+    }
+    if (odd_tail) t[ncols - 1] -= f * p[ncols - 1];
+  };
   const double drop = options_.pivot_tol;
   const int m = static_cast<int>(tab_.size());
   for (int i = 0; i < m; ++i) {
@@ -230,14 +257,12 @@ void IncrementalLp::PivotTab(int row, int col) {
       tr[col] = 0.0;
       continue;
     }
-    for (int c = 0; c < ncols; ++c) tr[c] -= f * pr[c];
+    eliminate(f, tr.data());
     tr[col] = 0.0;  // exact
     rhs0_[i] -= f * rhs0_[row];
   }
   const double fd = d_[col];
-  if (std::abs(fd) > 0.0) {
-    for (int c = 0; c < ncols; ++c) d_[c] -= fd * pr[c];
-  }
+  if (std::abs(fd) > 0.0) eliminate(fd, d_.data());
   d_[col] = 0.0;  // exact
   ++pivots_since_factorize_;
 }

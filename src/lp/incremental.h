@@ -132,6 +132,7 @@ class IncrementalLp {
   /// Builds the tableau from the original row data with the all-slack basis.
   void Factorize();
   /// Gauss–Jordan pivot on (row, col): tableau, rhs column, reduced costs.
+  /// Updates only the pivot row's nonzero column pairs.
   void PivotTab(int row, int col);
   /// Nonbasic placement for a column leaving the basis (finite bound
   /// preferred; honors an at-upper hint when given).
@@ -167,6 +168,7 @@ class IncrementalLp {
   std::vector<int8_t> status_;            // per column
   std::vector<double> beta_;              // basic variable values
   std::vector<double> d_;                 // reduced costs
+  std::vector<int> pivot_pairs_;          // PivotTab's nonzero column pairs
   /// Pivots since the last clean factorization — the drift proxy gating
   /// whether an infeasibility verdict needs re-confirmation on a rebuild.
   int64_t pivots_since_factorize_ = 0;

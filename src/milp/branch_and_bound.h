@@ -96,10 +96,15 @@ struct BnbOptions {
 
 struct BnbStats {
   int64_t nodes_explored = 0;
-  /// Total simplex pivots across all node LP solves (both engines). This is
-  /// the figure of merit for the warm-start machinery: with use_warm_start,
-  /// bench_fig3jkl_scalability and bench_micro compare it against the
-  /// cold-start path.
+  /// Simplex iterations of the node LP solves that returned a solution
+  /// (warm engine or cold SimplexSolver): their pivots plus, on the warm
+  /// engine, primal bound-to-bound flips. Solves that ended infeasible or
+  /// failed (pruned nodes, their rebuild re-checks) add nothing, so this is
+  /// not the warm engine's total pivot count: that is the sum of the four
+  /// lp_*_pivots counters below (perfbench's cold_milp: lp_iterations
+  /// 8 200, pivots 56 + 13 824 + 303 + 5 641 = 19 824).
+  /// bench_fig3jkl_scalability and bench_micro compare it between the warm
+  /// and cold paths.
   int64_t lp_iterations = 0;
   int64_t incumbent_updates = 0;
   /// Lazy-separation rounds that added violated indicator rows (see
@@ -113,7 +118,9 @@ struct BnbStats {
   int64_t lp_warm_solves = 0;
   /// Solves from a fresh factorization (first node + numerical rebuilds).
   int64_t lp_cold_solves = 0;
-  /// Pivot breakdown of lp_iterations on the warm engine.
+  /// Every pivot the warm engine made, by kind, whatever the solve's
+  /// outcome (bound flips and cold-fallback pivots are not pivots of the
+  /// warm engine). Not a breakdown of lp_iterations: see above.
   int64_t lp_primal_pivots = 0;
   int64_t lp_dual_pivots = 0;
   int64_t lp_repair_pivots = 0;
