@@ -788,13 +788,13 @@ struct FramingLevel {
   bool ok = true;
 };
 
-/// The serving stack for the transport sections: one SessionRegistry
-/// behind an in-process ReactorServer on an ephemeral loopback port.
-/// Member order is destruction order in reverse (metrics and registry must
-/// outlive the server's teardown callbacks).
+/// The serving stack for the transport sections: a one-dataset
+/// RegistryRouter behind an in-process ReactorServer on an ephemeral
+/// loopback port. Member order is destruction order in reverse (metrics
+/// and router must outlive the server's teardown callbacks).
 struct ReactorBenchServer {
   ServerMetrics metrics;
-  std::unique_ptr<SessionRegistry> registry;
+  std::unique_ptr<RegistryRouter> router;
   std::unique_ptr<ReactorServer> server;
   int port = 0;
 
@@ -807,15 +807,22 @@ struct ReactorBenchServer {
     server_options.solver = solver;
     server_options.num_workers = 0;
     server_options.max_clients = max_clients;
-    registry = std::make_unique<SessionRegistry>(
-        SharedDataset(Dataset(data)), Ranking(given), /*labels=*/
-        std::vector<std::string>(), server_options);
+    RouterOptions router_options;
+    router_options.server = server_options;
+    router_options.max_open_sessions = max_clients;
+    router = std::make_unique<RegistryRouter>(router_options);
+    Status registered = router->RegisterDataset(
+        "bench", [data = SharedDataset(Dataset(data)), given = Ranking(given)]()
+                     -> Result<RegistryRouter::DatasetBundle> {
+          return RegistryRouter::DatasetBundle{data, given, {}};
+        });
+    if (!registered.ok()) return false;
     ServeStreamOptions serve_options;
     serve_options.metrics = &metrics;
     ReactorOptions reactor_options;
     reactor_options.metrics = &metrics;
     server = std::make_unique<ReactorServer>(
-        MakeWireReactorCallbacks(registry.get(), serve_options),
+        MakeWireReactorCallbacks(router.get(), serve_options),
         reactor_options);
     ListenAddress address;
     address.kind = ListenAddress::Kind::kTcp;

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Loopback-TCP smoke for the network server (`rankhow_cli --listen`): start
-# the CLI on an ephemeral 127.0.0.1 port fronting TWO datasets, drive the
-# wire protocol over bash's /dev/tcp from two client connections bound to
-# different dataset ids, and assert the tagged responses — the end-to-end
-# walk of ISSUE 5's acceptance line through the real binary. check.sh runs
-# this right after the tier-1 build; it needs only bash + coreutils.
+# Smoke for the wire protocol through the real binary. First stdin
+# `rankhow_cli --serve`: pipe a script in (once ending in `quit`, once
+# ending at EOF) and compare its results with a serial `--session` replay.
+# Then the network server (`rankhow_cli --listen`): start the CLI on an
+# ephemeral 127.0.0.1 port fronting TWO datasets, drive the wire protocol
+# over bash's /dev/tcp from two client connections bound to different
+# dataset ids, and assert the tagged responses. check.sh runs this right
+# after the tier-1 build; it needs only bash + coreutils.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
@@ -45,6 +47,48 @@ PTS,REB,AST
 2,1,3
 CSV
 cp "$WORK/alpha.csv" "$WORK/beta.csv"
+
+fail() { echo "smoke_listen: FAILED - $1" >&2; exit 1; }
+
+# The reference every served result is checked against: a serial
+# --session replay of the same script through the same binary.
+printf 'solve\nmin-weight PTS 0.1\n' > "$WORK/script.txt"
+SERIAL=$("$CLI" --data="$WORK/alpha.csv" --k=3 --time-limit=30 \
+         --session="$WORK/script.txt" --show-table=0)
+# Table rows: "LINE COMMAND... ERROR BOUND PROVEN SECONDS" (the command may
+# contain spaces, so count from the right); wire responses carry the same
+# value as "error=N".
+serial_errors=$(awk '/^[12][[:space:]]/ {print $(NF-3)}' <<<"$SERIAL")
+if [[ -z "$serial_errors" ]]; then
+  echo "--- serial replay ---"; echo "$SERIAL"
+  fail "serial --session replay printed no errors"
+fi
+
+# Stdin --serve serves a one-entry catalog named after the CSV, so `open`
+# without an id binds "alpha" and `stats` is the router's field list.
+SERVE_OUT=$(printf 'open c4\nc4 solve\nc4 min-weight PTS 0.1\nstats\nquit\n' |
+            timeout 120 "$CLI" --data="$WORK/alpha.csv" --k=3 --serve \
+                --time-limit=30 2> "$WORK/serve.err")
+echo "--- stdin --serve (alpha) ---"; echo "$SERVE_OUT"
+grep -q "^ok open c4 alpha$" <<<"$SERVE_OUT" || fail "stdin open ack"
+grep -q "^ok stats registries=1 " <<<"$SERVE_OUT" || fail "stdin stats"
+grep -q "^ok quit$" <<<"$SERVE_OUT" || fail "stdin quit"
+serve_errors=$(sed -n 's/^ok c4 line=[23] error=\([0-9]*\).*/\1/p' \
+               <<<"$SERVE_OUT")
+if [[ "$serve_errors" != "$serial_errors" ]]; then
+  fail "stdin --serve results differ from serial --session replay (serial: \
+$(echo $serial_errors | tr '\n' ' ') serve: $(echo $serve_errors | tr '\n' ' '))"
+fi
+# EOF without `quit` still drains: both commands answer.
+EOF_OUT=$(printf 'open c5\nc5 solve\nc5 min-weight PTS 0.1\n' |
+          timeout 120 "$CLI" --data="$WORK/alpha.csv" --k=3 --serve \
+              --time-limit=30 2> "$WORK/serve_eof.err")
+echo "--- stdin --serve, EOF without quit ---"; echo "$EOF_OUT"
+eof_errors=$(sed -n 's/^ok c5 line=[23] error=\([0-9]*\).*/\1/p' <<<"$EOF_OUT")
+if [[ "$eof_errors" != "$serial_errors" ]]; then
+  fail "stdin --serve without quit lost answers (serial: \
+$(echo $serial_errors | tr '\n' ' ') serve: $(echo $eof_errors | tr '\n' ' '))"
+fi
 
 "$CLI" --data="$WORK/alpha.csv,$WORK/beta.csv" --k=3 \
     --listen=127.0.0.1:0 --time-limit=30 2> "$WORK/server.err" &
@@ -90,7 +134,6 @@ OUT2=$(run_client c2 beta)
 echo "--- client c1 (alpha) ---"; echo "$OUT1"
 echo "--- client c2 (beta) ---"; echo "$OUT2"
 
-fail() { echo "smoke_listen: FAILED - $1" >&2; exit 1; }
 grep -q "^ok open c1 alpha$" <<<"$OUT1" || fail "c1 open ack"
 grep -Eq "^ok c1 line=2 error=[0-9]+ bound=[0-9]+ proven=yes" <<<"$OUT1" \
     || fail "c1 solve response"
@@ -103,18 +146,10 @@ grep -Eq "^ok c2 line=2 error=[0-9]+ bound=[0-9]+ proven=yes" <<<"$OUT2" \
     || fail "c2 solve response"
 grep -q "^ok quit$" <<<"$OUT2" || fail "c2 quit"
 
-# Acceptance cross-check: the networked results must equal a serial
-# --session replay of the same script through the same binary.
-printf 'solve\nmin-weight PTS 0.1\n' > "$WORK/script.txt"
-SERIAL=$("$CLI" --data="$WORK/alpha.csv" --k=3 --time-limit=30 \
-         --session="$WORK/script.txt" --show-table=0)
-# Table rows: "LINE COMMAND... ERROR BOUND PROVEN SECONDS" (the command may
-# contain spaces, so count from the right); wire responses carry the same
-# value as "error=N".
-serial_errors=$(awk '/^[12][[:space:]]/ {print $(NF-3)}' <<<"$SERIAL")
+# Acceptance cross-check: the networked results must equal the serial
+# --session replay.
 wire_errors=$(sed -n 's/^ok c1 line=[23] error=\([0-9]*\).*/\1/p' <<<"$OUT1")
-if [[ -z "$serial_errors" || "$serial_errors" != "$wire_errors" ]]; then
-  echo "--- serial replay ---"; echo "$SERIAL"
+if [[ "$serial_errors" != "$wire_errors" ]]; then
   fail "network results differ from serial --session replay (serial: $(echo \
 $serial_errors | tr '\n' ' ') wire: $(echo $wire_errors | tr '\n' ' '))"
 fi
@@ -160,5 +195,6 @@ if [[ -z "$bin_errors" || "$bin_errors" != "$wire_errors" ]]; then
 $wire_errors | tr '\n' ' ') binary: $(echo $bin_errors | tr '\n' ' '))"
 fi
 
-echo "smoke_listen: OK (port $PORT, 2 clients on 2 dataset ids," \
-     "wire == serial replay, binary framing == text)"
+echo "smoke_listen: OK (stdin --serve == serial replay with and without" \
+     "quit; port $PORT, 2 clients on 2 dataset ids, wire == serial replay," \
+     "binary framing == text)"

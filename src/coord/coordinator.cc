@@ -20,6 +20,13 @@ namespace rankhow {
 
 namespace {
 
+/// How long a command waits for failover to rebind its session before
+/// giving up with a clean error (covers one dial plus probe slack).
+constexpr int kForwardRetryMs = 8000;
+/// Bound on the graceful quit drain (mirrors the reactor's 10 s drain
+/// deadline).
+constexpr int kQuitDrainMs = 30000;
+
 /// Fields merged by max instead of sum: high-water marks, latency
 /// quantiles, and the sticky degraded flags (any worker degraded means
 /// the fleet is degraded).
@@ -170,7 +177,7 @@ void CoordServer::Downstream::Run() {
       if (next == FrameDecoder::Next::kError) {
         // Same last word the reactor gives before an abort-close: a
         // length-prefixed stream cannot resync.
-        Emit("err - " + decoder_.error());
+        Emit(FramingError(decoder_.error()));
         fatal = true;
         break;
       }
@@ -219,8 +226,7 @@ void CoordServer::Downstream::HandleLine(const std::string& payload) {
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kNotFound) return;  // blank
     server_->c_local_errors_.fetch_add(1);
-    Emit(StrFormat("err - wire line %d: %s", static_cast<int>(line_no),
-                   request.status().message().c_str()));
+    Emit(WireLineError(line_no, request.status().message()));
     return;
   }
   switch (request->kind) {
@@ -266,7 +272,7 @@ void CoordServer::Downstream::HandleDeadline(int64_t ms) {
       if (conn->Forward(std::move(entry))) ++inflight_;
     }
   }
-  Emit(StrFormat("ok deadline %lld", static_cast<long long>(ms)));
+  Emit(DeadlineAck(ms));
 }
 
 void CoordServer::Downstream::HandleFrame(bool binary) {
@@ -275,8 +281,7 @@ void CoordServer::Downstream::HandleFrame(bool binary) {
     // contract the reactor documents for SwitchMode.
     std::lock_guard<std::mutex> lock(write_mu_);
     std::string out;
-    EncodeFrame(send_mode_, StrFormat("ok frame %s", binary ? "binary" : "text"),
-                &out);
+    EncodeFrame(send_mode_, FrameAck(binary), &out);
     SendAllLocked(out);
     send_mode_ = binary ? FrameMode::kBinary : FrameMode::kText;
   }
@@ -301,8 +306,7 @@ void CoordServer::Downstream::HandleOpen(int64_t line_no,
     }
     server_->c_local_errors_.fetch_add(1);
     lock.unlock();
-    Emit("err " + request.client + " client already open: " +
-         request.client);
+    Emit(ClientAlreadyOpenError(request.client));
     return;
   }
 
@@ -362,8 +366,7 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
   if (sessions_.find(request.client) == sessions_.end()) {
     server_->c_local_errors_.fetch_add(1);
     lock.unlock();
-    Emit(StrFormat("err %s no client named %s on this connection",
-                   request.client.c_str(), request.client.c_str()));
+    Emit(NoClientError(request.client));
     return;
   }
   ProxyEntry entry;
@@ -384,17 +387,15 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
 void CoordServer::Downstream::ForwardSessionEntry(
     std::unique_lock<std::mutex>& lock, const std::string& client,
     ProxyEntry entry) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(server_->options_.forward_retry_ms);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kForwardRetryMs);
   for (;;) {
     auto it = sessions_.find(client);
     if (it == sessions_.end()) {
       // The session died mid-retry (failover found no replacement).
       server_->c_local_errors_.fetch_add(1);
       lock.unlock();
-      Emit(StrFormat("err %s no client named %s on this connection",
-                     client.c_str(), client.c_str()));
+      Emit(NoClientError(client));
       lock.lock();
       return;
     }
@@ -708,15 +709,17 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
   }
   const CoordCounters counters = server_->counters();
   std::string line = prefix + AggregateFieldLines(field_lines);
-  line += StrFormat(
-      " coord_workers=%d coord_up=%d coord_sessions=%lld "
-      "coord_commands=%lld coord_failovers=%lld "
-      "coord_failover_sessions=%lld coord_failover_failures=%lld "
-      "coord_replayed=%lld coord_replay_errors=%lld",
-      num_workers, up_count, counters.sessions_opened,
-      counters.commands_proxied, counters.failovers,
-      counters.failover_sessions, counters.failover_failures,
-      counters.replayed_edits, counters.replay_errors);
+  line += " " + RenderStatsLine({
+      {"coord_workers", num_workers},
+      {"coord_up", up_count},
+      {"coord_sessions", counters.sessions_opened},
+      {"coord_commands", counters.commands_proxied},
+      {"coord_failovers", counters.failovers},
+      {"coord_failover_sessions", counters.failover_sessions},
+      {"coord_failover_failures", counters.failover_failures},
+      {"coord_replayed", counters.replayed_edits},
+      {"coord_replay_errors", counters.replay_errors},
+  });
   line += breakdown;
   Emit(line);
 }
@@ -737,9 +740,8 @@ void CoordServer::Downstream::HandleQuit() {
     if (up->second->Forward(std::move(entry))) ++inflight_;
   }
   ended_ = true;
-  drain_cv_.wait_for(
-      lock, std::chrono::milliseconds(server_->options_.quit_drain_ms),
-      [this] { return inflight_ == 0; });
+  drain_cv_.wait_for(lock, std::chrono::milliseconds(kQuitDrainMs),
+                     [this] { return inflight_ == 0; });
   sessions_.clear();
   lock.unlock();
   Emit("ok quit");

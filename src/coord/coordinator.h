@@ -51,12 +51,6 @@ namespace rankhow {
 
 struct CoordOptions {
   HealthOptions health;
-  /// How long a command waits for failover to rebind its session before
-  /// giving up with a clean error (covers one dial plus probe slack).
-  int forward_retry_ms = 8000;
-  /// Bound on the graceful quit drain (mirrors the reactor's
-  /// drain_deadline_seconds).
-  int quit_drain_ms = 30000;
 };
 
 /// Monotonic counters, exposed on the aggregated `stats` line as

@@ -402,7 +402,7 @@ void WarmCache::AppendBatch(const std::vector<std::string>& records) {
     std::lock_guard<std::mutex> lock(write_mu_);
     ++appended_;
   }
-  if (failure.empty() && options_.fsync_appends && ::fsync(fd_) != 0) {
+  if (failure.empty() && ::fsync(fd_) != 0) {
     failure = StrFormat("fsync failed (%s)", std::strerror(errno));
   }
   if (!failure.empty()) {

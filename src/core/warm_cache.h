@@ -107,8 +107,6 @@ ProblemFingerprint FingerprintProblem(uint64_t dataset_fp,
 struct WarmCacheOptions {
   /// Resident (and durable-dedup) cap per exact fingerprint.
   int max_entries_per_key = 4;
-  /// fsync after draining each append batch (off = let the OS flush).
-  bool fsync_appends = true;
   /// Publish blocks until the record is on disk (tests/benches that
   /// kill/reopen right after publishing; production keeps this off).
   bool synchronous_appends = false;

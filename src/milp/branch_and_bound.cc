@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/search_coordinator.h"
@@ -76,14 +74,6 @@ struct WorkerState {
 
 constexpr double kViolationTol = 1e-7;
 constexpr int kMaxLazyRounds = 100;
-
-/// RANKHOW_XCHECK_LP=1 cross-checks every warm node LP against a cold
-/// SimplexSolver solve of the identical model and reports divergences to
-/// stderr — the debug harness that caught the warm engine's false
-/// infeasibility verdicts (see lp/incremental.cc's re-confirmation note).
-/// Keep it: it turns "the search went wrong somewhere" into "this node's
-/// LP disagrees".
-const bool kCrossCheckLp = std::getenv("RANKHOW_XCHECK_LP") != nullptr;
 
 /// Explores one node: delta-syncs the worker's engine (or assembles the
 /// legacy cold LP), runs the lazy separation loop, offers incumbents
@@ -211,39 +201,6 @@ void ProcessNode(SearchShared& sh, WorkerState& ws, Node node) {
                                 ? node.warm_basis.get()
                                 : nullptr;
       lp = ws.inc->Solve(hint, remaining);
-      if (kCrossCheckLp) {
-        // The warm engine keeps binaries at native [0,1]; mirror that here
-        // (unlike assemble_cold's relaxed bounds) so the models match.
-        LpModel xm = sh.core;
-        for (const auto& [var, value] : node.fixings) {
-          LpVariable& v = xm.mutable_variable(var);
-          v.lower = value;
-          v.upper = value;
-        }
-        for (int idx : *active) {
-          xm.AddConstraint(LinearExpr(sh.compiled[idx].expr),
-                           sh.compiled[idx].op, sh.compiled[idx].rhs,
-                           "lazy");
-        }
-        SimplexSolver xs(options.lp_options);
-        auto xlp = xs.Solve(xm);
-        if (lp.ok() && xlp.ok() &&
-            std::abs(lp->objective - xlp->objective) > 1e-5) {
-          std::fprintf(stderr,
-                       "XCHECK OBJ depth=%d fixings=%zu rows=%zu "
-                       "warm=%.9f cold=%.9f hint=%d\n",
-                       node.depth, node.fixings.size(), active->size(),
-                       lp->objective, xlp->objective, hint != nullptr);
-        } else if (lp.ok() != xlp.ok()) {
-          std::fprintf(stderr,
-                       "XCHECK STATUS depth=%d fixings=%zu rows=%zu "
-                       "warm=%s cold=%s hint=%d\n",
-                       node.depth, node.fixings.size(), active->size(),
-                       lp.ok() ? "ok" : lp.status().ToString().c_str(),
-                       xlp.ok() ? "ok" : xlp.status().ToString().c_str(),
-                       hint != nullptr);
-        }
-      }
       const bool recoverable =
           !lp.ok() && lp.status().code() != StatusCode::kInfeasible &&
           !(lp.status().code() == StatusCode::kResourceExhausted &&

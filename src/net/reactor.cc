@@ -24,6 +24,9 @@ namespace {
 /// fast path (a loop-thread Send skips the eventfd round trip).
 thread_local void* t_current_loop = nullptr;
 
+/// Cap on a graceful close flushing its final bytes.
+constexpr int kDrainDeadlineSeconds = 10;
+
 }  // namespace
 
 const char* CloseReasonName(CloseReason reason) {
@@ -541,8 +544,7 @@ void ReactorServer::FlushConn(Loop& loop, const ConnPtr& conn) {
 
 void ReactorServer::BeginDrain(Loop& loop, const ConnPtr& conn) {
   conn->paused_ = true;  // a gracefully-closing peer gets no more input
-  conn->drain_deadline_tick_ =
-      loop.now_tick + std::max(1, options_.drain_deadline_seconds);
+  conn->drain_deadline_tick_ = loop.now_tick + kDrainDeadlineSeconds;
   UpdateEpoll(loop, *conn);
   FlushConn(loop, conn);  // closes immediately if nothing is pending
 }

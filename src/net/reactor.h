@@ -53,8 +53,8 @@
 /// Idle and drain deadlines ride a coarse once-per-second sweep on each
 /// loop (replacing the old SO_RCVTIMEO): a connection silent past
 /// idle_timeout_seconds abort-closes as kIdleTimeout; a gracefully-closing
-/// connection whose final bytes cannot be flushed within
-/// drain_deadline_seconds is cut off.
+/// connection whose final bytes cannot be flushed within 10 seconds is
+/// cut off.
 
 #include <atomic>
 #include <condition_variable>
@@ -98,8 +98,6 @@ struct ReactorOptions {
   /// Queued-write-bytes bound per connection before a backpressure
   /// abort-close.
   size_t max_conn_buffer = 4u << 20;
-  /// Cap on a graceful close flushing its final bytes.
-  int drain_deadline_seconds = 10;
   /// Test hook: SO_SNDBUF for accepted sockets (tiny values make a
   /// stalled reader hit max_conn_buffer quickly). 0 = kernel default.
   int sndbuf_bytes = 0;
@@ -137,8 +135,8 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// delivered message.
   void Defer(std::function<void()> fn);
 
-  /// Requests a graceful local close: pending writes flush (bounded by
-  /// drain_deadline_seconds), then the fd closes and on_close runs with
+  /// Requests a graceful local close: pending writes flush (for at most
+  /// 10 seconds), then the fd closes and on_close runs with
   /// kLocalClose. Any thread.
   void Close();
 

@@ -8,8 +8,7 @@
 namespace rankhow {
 
 RegistryRouter::RegistryRouter(RouterOptions options)
-    : options_(std::move(options)),
-      default_dataset_(options_.default_dataset) {
+    : options_(std::move(options)) {
   if (!options_.warm_cache_dir.empty()) {
     Result<std::unique_ptr<WarmCache>> cache =
         WarmCache::Open(options_.warm_cache_dir, options_.warm_cache);

@@ -58,9 +58,6 @@ struct RouterOptions {
   /// Total open sessions across all registries: opening beyond this
   /// LRU-closes idle sessions first, then fails with kResourceExhausted.
   int max_open_sessions = 64;
-  /// Dataset served by `open CLIENT` without an id. Empty = the first
-  /// RegisterDataset call.
-  std::string default_dataset;
   /// Durability (see docs/OPERATIONS.md "Durability & recovery"): when
   /// non-empty, every materialized registry writes a write-ahead session
   /// journal to `<journal_dir>/<dataset-id>.journal`, and
@@ -142,8 +139,8 @@ class RegistryRouter {
 
   /// Registers a dataset id in the catalog (setup time, before serving).
   /// kAlreadyExists for a duplicate id, kInvalidArgument for an empty one.
-  /// The first registered id becomes the default unless RouterOptions
-  /// named one.
+  /// The first registered id becomes the default (`open CLIENT` without
+  /// an id).
   Status RegisterDataset(const std::string& id, Loader loader);
 
   /// Opens `client` against `dataset_id` ("" = default), lazily loading

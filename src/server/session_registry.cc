@@ -12,6 +12,9 @@ namespace rankhow {
 
 namespace {
 
+/// The RETRY-AFTER hint (milliseconds) embedded in shed responses.
+constexpr int kShedRetryAfterMs = 250;
+
 /// Wire verbs; a client may not take one as its name (see wire.cc).
 bool IsReservedClientName(const std::string& name) {
   return name == "open" || name == "close" || name == "stats" ||
@@ -184,7 +187,7 @@ Status SessionRegistry::Submit(const std::string& client,
     return Status::ResourceExhausted(
         "server overloaded (" + std::to_string(pending_commands_) +
         " pending commands) RETRY-AFTER=" +
-        std::to_string(options_.shed_retry_after_ms) + "ms");
+        std::to_string(kShedRetryAfterMs) + "ms");
   }
   std::shared_ptr<Client> entry = it->second;
   entry->queue.emplace_back(std::move(command), std::move(done));

@@ -89,11 +89,9 @@ struct ServerOptions {
   WarmCache* warm_cache = nullptr;
   /// Overload-shedding admission watermark: when the registry-wide count
   /// of queued + in-flight commands reaches this, *new* Submits fail with
-  /// kResourceExhausted (carrying a RETRY-AFTER hint) instead of queueing —
-  /// already-queued commands always finish. 0 = off.
+  /// kResourceExhausted (carrying a RETRY-AFTER=250ms hint) instead of
+  /// queueing — already-queued commands always finish. 0 = off.
   int max_pending_commands = 0;
-  /// The RETRY-AFTER hint (milliseconds) embedded in shed responses.
-  int shed_retry_after_ms = 250;
 };
 
 /// A registry's cumulative counters: what the registry counts itself
@@ -213,9 +211,6 @@ class SessionRegistry {
 
   SessionRegistryStats Stats() const;
   const std::vector<std::string>& labels() const { return labels_; }
-  /// The attached warm cache (null when off), which counts its own draws
-  /// and publishes.
-  WarmCache* warm_cache() const { return options_.warm_cache; }
 
   /// True iff any client has a command running or queued (a non-blocking
   /// peek — the answer can be stale by the time the caller acts on it; the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -27,24 +26,6 @@ void SplitHead(const std::string& line, std::string* head,
   }
   *head = line.substr(0, sep);
   *tail = std::string(Trim(line.substr(sep + 1)));
-}
-
-/// One `stats` field: its wire name next to its value.
-struct StatsField {
-  const char* name;
-  int64_t value;
-};
-
-/// The `stats` body: "name=value" per field, space-separated, in order.
-std::string RenderStatsLine(std::initializer_list<StatsField> fields) {
-  std::string line;
-  for (const StatsField& field : fields) {
-    if (!line.empty()) line += ' ';
-    line += field.name;
-    line += '=';
-    line += std::to_string(field.value);
-  }
-  return line;
 }
 
 uint64_t ElapsedUsec(std::chrono::steady_clock::time_point start) {
@@ -173,125 +154,76 @@ std::string RewriteWireResponseLine(const std::string& response,
          response.substr(end);
 }
 
-// ---------------------------------------------------------------------------
-// Backends
-// ---------------------------------------------------------------------------
-
-WireBackend MakeWireBackend(SessionRegistry* registry) {
-  WireBackend backend;
-  backend.open = [registry](const std::string& client,
-                            const std::string& dataset)
-      -> Result<std::string> {
-    if (!dataset.empty()) {
-      return Status::Invalid(
-          "this server serves a single dataset (open takes no dataset id)");
-    }
-    RH_RETURN_NOT_OK(registry->Open(client));
-    return "open " + client;
-  };
-  backend.close = [registry](const std::string& client, bool graceful) {
-    return registry->Close(client, graceful);
-  };
-  backend.submit = [registry](const std::string& client, SessionCommand cmd,
-                              SessionCallback done) {
-    return registry->Submit(client, std::move(cmd), std::move(done));
-  };
-  backend.stats_line = [registry] {
-    const SessionRegistryStats r = registry->Stats();
-    const WarmCacheStats c = registry->warm_cache() != nullptr
-                                 ? registry->warm_cache()->Stats()
-                                 : WarmCacheStats();
-    return RenderStatsLine({
-        {"clients", r.open_clients},
-        {"datasets", r.resident_dataset_copies},
-        {"commands", r.commands_executed},
-        {"forks", r.dataset_forks},
-        {"shared_published", r.shared_publishes},
-        {"shared_drawn", r.shared_draws},
-        {"pending", r.pending_commands},
-        {"shed", r.commands_shed},
-        {"closed_graceful", r.closes_graceful},
-        {"closed_aborted", r.closes_aborted},
-        {"cache_hits", c.hits},
-        {"cache_misses", c.misses},
-        {"cache_demotions", c.demotions},
-        {"cache_publishes", c.published},
-    });
-  };
-  backend.drain_all = [registry] { registry->Drain(); };
-  return backend;
+std::string WireLineError(int64_t line, const std::string& message) {
+  return "err - wire line " + std::to_string(line) + ": " + message;
 }
 
-WireBackend MakeWireBackend(RegistryRouter* router) {
-  WireBackend backend;
-  backend.open = [router](const std::string& client,
-                          const std::string& dataset)
-      -> Result<std::string> {
-    bool adopted = false;
-    RH_RETURN_NOT_OK(router->Open(client, dataset, &adopted));
-    // Echo the dataset actually bound so `open C` reveals the default;
-    // "recovered" tells a reconnecting client it adopted its journal-
-    // rebuilt session, constraint state intact (see docs/PROTOCOL.md).
-    return "open " + client + " " + router->ClientDataset(client) +
-           (adopted ? " recovered" : "");
-  };
-  backend.close = [router](const std::string& client, bool graceful) {
-    return router->Close(client, graceful);
-  };
-  backend.submit = [router](const std::string& client, SessionCommand cmd,
-                            SessionCallback done) {
-    return router->Submit(client, std::move(cmd), std::move(done));
-  };
-  backend.stats_line = [router] {
-    const RegistryRouterStats s = router->Stats();
-    return RenderStatsLine({
-        {"registries", s.resident_registries},
-        {"clients", s.open_clients},
-        {"datasets", s.resident_dataset_copies},
-        {"commands", s.commands_executed},
-        {"forks", s.dataset_forks},
-        {"loaded", s.datasets_loaded},
-        {"evicted_registries", s.registries_evicted},
-        {"evicted_sessions", s.sessions_evicted},
-        {"shared_published", s.shared_publishes},
-        {"shared_drawn", s.shared_draws},
-        {"pending", s.pending_commands},
-        {"shed", s.commands_shed},
-        {"closed_graceful", s.closes_graceful},
-        {"closed_aborted", s.closes_aborted},
-        {"journal_records", s.journal_records},
-        {"journal_fsyncs", s.journal_fsyncs},
-        {"journal_fsync_failures", s.journal_fsync_failures},
-        {"journal_degraded", s.journal_degraded},
-        {"recover_replayed", s.recovered.replayed},
-        {"recover_truncated", s.recovered.truncated},
-        {"recover_skipped", s.recovered.skipped},
-        {"recover_sessions", s.recovered.sessions},
-        {"cache_hits", s.cache.hits},
-        {"cache_misses", s.cache.misses},
-        {"cache_demotions", s.cache.demotions},
-        {"cache_publishes", s.cache.published},
-        {"cache_entries", s.cache.entries},
-        {"cache_appended", s.cache.appended},
-        {"cache_loaded", s.cache.loaded},
-        {"cache_skipped", s.cache.skipped},
-        {"cache_degraded", s.cache.degraded},
-    });
-  };
-  backend.drain_all = [router] { router->Drain(); };
-  return backend;
+std::string FramingError(const std::string& message) {
+  return "err - " + message;
+}
+
+std::string NoClientError(const std::string& client) {
+  return "err " + client + " no client named " + client +
+         " on this connection";
+}
+
+std::string ClientAlreadyOpenError(const std::string& client) {
+  return "err " + client + " client already open: " + client;
+}
+
+std::string DeadlineAck(int64_t ms) {
+  return "ok deadline " + std::to_string(ms);
+}
+
+std::string FrameAck(bool binary) {
+  return binary ? "ok frame binary" : "ok frame text";
+}
+
+std::string RouterStatsLine(const RegistryRouter& router) {
+  const RegistryRouterStats s = router.Stats();
+  return RenderStatsLine({
+      {"registries", s.resident_registries},
+      {"clients", s.open_clients},
+      {"datasets", s.resident_dataset_copies},
+      {"commands", s.commands_executed},
+      {"forks", s.dataset_forks},
+      {"loaded", s.datasets_loaded},
+      {"evicted_registries", s.registries_evicted},
+      {"evicted_sessions", s.sessions_evicted},
+      {"shared_published", s.shared_publishes},
+      {"shared_drawn", s.shared_draws},
+      {"pending", s.pending_commands},
+      {"shed", s.commands_shed},
+      {"closed_graceful", s.closes_graceful},
+      {"closed_aborted", s.closes_aborted},
+      {"journal_records", s.journal_records},
+      {"journal_fsyncs", s.journal_fsyncs},
+      {"journal_fsync_failures", s.journal_fsync_failures},
+      {"journal_degraded", s.journal_degraded},
+      {"recover_replayed", s.recovered.replayed},
+      {"recover_truncated", s.recovered.truncated},
+      {"recover_skipped", s.recovered.skipped},
+      {"recover_sessions", s.recovered.sessions},
+      {"cache_hits", s.cache.hits},
+      {"cache_misses", s.cache.misses},
+      {"cache_demotions", s.cache.demotions},
+      {"cache_publishes", s.cache.published},
+      {"cache_entries", s.cache.entries},
+      {"cache_appended", s.cache.appended},
+      {"cache_loaded", s.cache.loaded},
+      {"cache_skipped", s.cache.skipped},
+      {"cache_degraded", s.cache.degraded},
+  });
 }
 
 // ---------------------------------------------------------------------------
 // WireConnection
 // ---------------------------------------------------------------------------
 
-WireConnection::WireConnection(std::shared_ptr<const WireBackend> backend,
+WireConnection::WireConnection(RegistryRouter* router,
                                const ServeStreamOptions& options,
                                WireConnectionHooks hooks)
-    : backend_(std::move(backend)),
-      options_(options),
-      hooks_(std::move(hooks)) {}
+    : router_(router), options_(options), hooks_(std::move(hooks)) {}
 
 void WireConnection::Emit(const std::string& message) {
   hooks_.emit(message);
@@ -315,23 +247,31 @@ bool WireConnection::finished() const {
 }
 
 void WireConnection::DoOpen(const WireRequest& request) {
-  Result<std::string> ack = backend_->open(request.client, request.dataset);
-  if (ack.ok()) {
+  bool adopted = false;
+  Status status = router_->Open(request.client, request.dataset, &adopted);
+  if (status.ok()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       owned_.push_back(request.client);
     }
-    Emit("ok " + *ack);
+    // Echo the dataset actually bound so `open C` reveals the default;
+    // "recovered" tells a reconnecting client it adopted its journal-
+    // rebuilt session, constraint state intact (see docs/PROTOCOL.md).
+    Emit("ok open " + request.client + " " +
+         router_->ClientDataset(request.client) +
+         (adopted ? " recovered" : ""));
+  } else if (status.code() == StatusCode::kAlreadyExists) {
+    Emit(ClientAlreadyOpenError(request.client));
   } else {
     Emit(StrFormat("err %s %s", request.client.c_str(),
-                   ack.status().message().c_str()));
+                   status.message().c_str()));
   }
 }
 
 void WireConnection::DoClose(const WireRequest& request) {
   // Graceful: the stream submitted this client's queued commands itself,
   // so `close` lets them finish instead of dropping them.
-  Status status = backend_->close(request.client, /*graceful=*/true);
+  Status status = router_->Close(request.client, /*graceful=*/true);
   if (status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     owned_.erase(std::remove(owned_.begin(), owned_.end(), request.client),
@@ -368,10 +308,10 @@ void WireConnection::EndStream(bool graceful) {
     // session drops. Abort (transport death): cancel the in-flight solve,
     // fail the queue — the peer is gone anyway.
     for (const std::string& client : owned) {
-      (void)backend_->close(client, graceful);
+      (void)router_->Close(client, graceful);
     }
-  } else if (backend_->drain_all != nullptr) {
-    backend_->drain_all();
+  } else {
+    router_->Drain();
   }
 }
 
@@ -386,8 +326,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
   auto request = ParseWireLine(payload);
   if (!request.ok()) {
     if (request.status().code() == StatusCode::kNotFound) return;  // blank
-    Emit(StrFormat("err - wire line %d: %s", line_no,
-                   request.status().message().c_str()));
+    Emit(WireLineError(line_no, request.status().message()));
     return;
   }
   switch (request->kind) {
@@ -404,12 +343,11 @@ void WireConnection::HandleMessage(const std::string& payload) {
       break;
     }
     case WireRequest::Kind::kStats: {
+      std::string line = "ok stats " + RouterStatsLine(*router_);
       if (options_.metrics != nullptr) {
-        Emit("ok stats " + backend_->stats_line() + " " +
-             options_.metrics->RenderStatsFields());
-      } else {
-        Emit("ok stats " + backend_->stats_line());
+        line += " " + options_.metrics->RenderStatsFields();
       }
+      Emit(line);
       RecordVerb(WireVerb::kStats, start);
       break;
     }
@@ -428,7 +366,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
         std::lock_guard<std::mutex> lock(mu_);
         deadline_ms_ = ms;
       }
-      Emit(StrFormat("ok deadline %lld", static_cast<long long>(ms)));
+      Emit(DeadlineAck(ms));
       RecordVerb(WireVerb::kDeadline, start);
       break;
     }
@@ -440,8 +378,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
       // The ack travels in the OLD framing (a text-mode client reads a
       // plain "ok frame binary" line and only then starts length-prefix
       // parsing); everything queued after switch_mode is framed anew.
-      Emit(StrFormat("ok frame %s",
-                     request->frame_binary ? "binary" : "text"));
+      Emit(FrameAck(request->frame_binary));
       hooks_.switch_mode(request->frame_binary ? FrameMode::kBinary
                                                : FrameMode::kText);
       RecordVerb(WireVerb::kFrame, start);
@@ -461,8 +398,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kClose: {
       if (options_.connection_scoped_clients && !Owns(request->client)) {
-        Emit(StrFormat("err %s no client named %s on this connection",
-                       request->client.c_str(), request->client.c_str()));
+        Emit(NoClientError(request->client));
         break;
       }
       auto work = [this, request = *request, start] {
@@ -478,8 +414,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
     }
     case WireRequest::Kind::kCommand: {
       if (options_.connection_scoped_clients && !Owns(request->client)) {
-        Emit(StrFormat("err %s no client named %s on this connection",
-                       request->client.c_str(), request->client.c_str()));
+        Emit(NoClientError(request->client));
         break;
       }
       const int request_line = line_no;
@@ -490,7 +425,7 @@ void WireConnection::HandleMessage(const std::string& payload) {
       const WireVerb verb = request->command.kind == SessionCommand::Kind::kSolve
                                 ? WireVerb::kSolve
                                 : WireVerb::kEdit;
-      Status submitted = backend_->submit(
+      Status submitted = router_->Submit(
           request->client, request->command,
           [this, request_line, verb, start](
               const std::string& client,
@@ -524,22 +459,20 @@ void WireConnection::HandleMessage(const std::string& payload) {
 // Reactor glue
 // ---------------------------------------------------------------------------
 
-namespace {
-
-ReactorCallbacks MakeReactorCallbacksImpl(
-    std::shared_ptr<const WireBackend> backend, ServeStreamOptions options) {
-  // Every network connection owns its clients; PR 4's drain-the-world
-  // stream semantics belong to stdin only.
+ReactorCallbacks MakeWireReactorCallbacks(RegistryRouter* router,
+                                          ServeStreamOptions options) {
+  // Every network connection owns its clients; drain-the-world stream
+  // semantics belong to stdin only.
   options.connection_scoped_clients = true;
   ReactorCallbacks callbacks;
-  callbacks.on_open = [backend, options](ReactorConn& conn) -> void* {
+  callbacks.on_open = [router, options](ReactorConn& conn) -> void* {
     ReactorConn* c = &conn;
     WireConnectionHooks hooks;
     hooks.emit = [c](const std::string& message) { (void)c->Send(message); };
     hooks.switch_mode = [c](FrameMode mode) { c->SwitchMode(mode); };
     hooks.defer = [c](std::function<void()> fn) { c->Defer(std::move(fn)); };
     hooks.request_close = [c] { c->Close(); };
-    return new WireConnection(backend, options, std::move(hooks));
+    return new WireConnection(router, options, std::move(hooks));
   };
   callbacks.on_message = [](ReactorConn& conn, const std::string& payload) {
     static_cast<WireConnection*>(conn.user())->HandleMessage(payload);
@@ -548,7 +481,7 @@ ReactorCallbacks MakeReactorCallbacksImpl(
                                    const std::string& error) {
     // Best-effort last word before the abort-close; a length-prefixed
     // stream cannot resync, so no recovery is offered.
-    (void)conn.Send("err - " + error);
+    (void)conn.Send(FramingError(error));
   };
   callbacks.on_close = [](ReactorConn& conn, CloseReason reason) {
     auto* wire = static_cast<WireConnection*>(conn.user());
@@ -562,31 +495,12 @@ ReactorCallbacks MakeReactorCallbacksImpl(
   return callbacks;
 }
 
-}  // namespace
-
-ReactorCallbacks MakeWireReactorCallbacks(SessionRegistry* registry,
-                                          ServeStreamOptions options) {
-  return MakeReactorCallbacksImpl(
-      std::make_shared<const WireBackend>(MakeWireBackend(registry)),
-      options);
-}
-
-ReactorCallbacks MakeWireReactorCallbacks(RegistryRouter* router,
-                                          ServeStreamOptions options) {
-  return MakeReactorCallbacksImpl(
-      std::make_shared<const WireBackend>(MakeWireBackend(router)),
-      options);
-}
-
 // ---------------------------------------------------------------------------
 // Stream transport (stdin mode, stringstream tests)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-Status ServeStreamImpl(std::shared_ptr<const WireBackend> backend,
-                       std::istream& in, std::ostream& out,
-                       const ServeStreamOptions& options) {
+Status ServeStream(RegistryRouter* router, std::istream& in,
+                   std::ostream& out, const ServeStreamOptions& options) {
   // Whole-line writes under one mutex: strand completions race the serve
   // loop's own acks, and interleaved half-lines would be unparseable. The
   // mutex lives on the heap because solve callbacks of clients this stream
@@ -600,7 +514,7 @@ Status ServeStreamImpl(std::shared_ptr<const WireBackend> backend,
   };
   // No switch_mode (frame answers err), no defer (this loop may block),
   // no request_close (returning ends the stream).
-  WireConnection conn(std::move(backend), options, std::move(hooks));
+  WireConnection conn(router, options, std::move(hooks));
   std::string line;
   while (std::getline(in, line)) {
     conn.HandleMessage(line);
@@ -612,22 +526,6 @@ Status ServeStreamImpl(std::shared_ptr<const WireBackend> backend,
   // budget nobody will read. A polite client says `quit`, which drains.
   conn.EndStream(/*graceful=*/false);
   return Status();
-}
-
-}  // namespace
-
-Status ServeStream(SessionRegistry* registry, std::istream& in,
-                   std::ostream& out, const ServeStreamOptions& options) {
-  return ServeStreamImpl(
-      std::make_shared<const WireBackend>(MakeWireBackend(registry)), in,
-      out, options);
-}
-
-Status ServeStream(RegistryRouter* router, std::istream& in,
-                   std::ostream& out, const ServeStreamOptions& options) {
-  return ServeStreamImpl(
-      std::make_shared<const WireBackend>(MakeWireBackend(router)), in, out,
-      options);
 }
 
 Result<std::vector<ScriptedClientRun>> RunScriptedClients(

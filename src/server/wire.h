@@ -14,12 +14,11 @@
 /// owned by the epoll reactor in net/reactor.h):
 ///
 ///   open CLIENT [DATASET]  create a session for CLIENT; DATASET selects a
-///                          catalog entry on a router-backed server (the
-///                          default dataset when omitted; single-registry
-///                          servers reject the two-argument form)
+///                          catalog entry (the default dataset when
+///                          omitted)
 ///   close CLIENT           finish CLIENT's queued commands, then drop it
-///   stats                  registry/router counters plus, on a metered
-///                          server, transport fields (see PROTOCOL.md)
+///   stats                  router counters plus, on a metered server,
+///                          transport fields (see PROTOCOL.md)
 ///   metrics                per-verb latency histograms and connection /
 ///                          backpressure gauges (see docs/OPERATIONS.md)
 ///   deadline MS            per-request deadline for this stream's later
@@ -40,10 +39,10 @@
 /// interleaving stays parseable (solves of different clients complete in
 /// pool order; per client, responses arrive in submission order):
 ///
-///   ok open CLIENT [DATASET]
+///   ok open CLIENT DATASET
 ///   ok CLIENT line=1 error=3 bound=3 proven=yes seconds=0.012 nodes=17
 ///   err CLIENT line=4 session script line 1: no weight constraint ...
-///   ok stats clients=2 datasets=1 commands=17 forks=0 ...
+///   ok stats registries=1 clients=2 datasets=1 commands=17 ...
 ///   ok metrics connections=3 ... solve.p99_us=41820 ...
 ///   ok frame binary
 ///   ok quit
@@ -74,13 +73,12 @@
 /// in-flight solve is cancelled cooperatively, queued commands fail).
 /// Siblings on other connections are untouched either way. A connection
 /// can only address the clients it opened (responses route to the opening
-/// connection's stream). The PR 4 stdin mode instead drains everything and
+/// connection's stream). The stdin mode instead drains everything and
 /// leaves clients open (the process exits anyway).
 
 #include <chrono>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -150,36 +148,25 @@ Result<WireResponseTag> ParseWireResponseTag(const std::string& response);
 std::string RewriteWireResponseLine(const std::string& response,
                                     int64_t line);
 
-/// What the wire layer needs from a serving backend. MakeWireBackend
-/// builds one over a SessionRegistry or a RegistryRouter; the protocol
-/// machine itself is backend-agnostic, so the single-dataset and routed
-/// servers can never drift on protocol behavior.
-struct WireBackend {
-  /// Returns the ack suffix after "ok " (e.g. "open alice nba"). May
-  /// block (dataset CSV load).
-  std::function<Result<std::string>(const std::string& client,
-                                    const std::string& dataset)>
-      open;
-  /// May block (graceful close finishes the queued commands first).
-  std::function<Status(const std::string& client, bool graceful)> close;
-  /// Non-blocking: enqueues onto the client's strand or sheds.
-  std::function<Status(const std::string& client, SessionCommand,
-                       SessionCallback)>
-      submit;
-  /// The body after "ok stats ".
-  std::function<std::string()> stats_line;
-  /// Blocks until every strand is idle (the PR 4 stdin drain).
-  std::function<void()> drain_all;
-};
+/// The answers a server gives without consulting a session. The worker's
+/// WireConnection and the coordinator (src/coord/) both emit them, so the
+/// texts live here once and a coordinated client reads the same bytes.
+std::string WireLineError(int64_t line, const std::string& message);
+std::string FramingError(const std::string& message);
+std::string NoClientError(const std::string& client);
+std::string ClientAlreadyOpenError(const std::string& client);
+std::string DeadlineAck(int64_t ms);
+std::string FrameAck(bool binary);
 
-WireBackend MakeWireBackend(SessionRegistry* registry);
-WireBackend MakeWireBackend(RegistryRouter* router);
+/// The body after "ok stats ": the router's counters and gauges in wire
+/// order (docs/PROTOCOL.md "stats fields").
+std::string RouterStatsLine(const RegistryRouter& router);
 
 struct ServeStreamOptions {
   /// Network semantics: the stream owns the clients it opened — `quit`
   /// gracefully closes them, EOF without `quit` abort-closes them, and
-  /// the registry is NOT drained when the stream ends (sibling connections
-  /// keep solving). Off = the PR 4 stdin semantics (drain everything at
+  /// the router is NOT drained when the stream ends (sibling connections
+  /// keep solving). Off = the stdin semantics (drain everything at
   /// quit/EOF, leave clients open).
   bool connection_scoped_clients = false;
   /// Per-verb latency histograms + transport gauges; enables the
@@ -223,8 +210,8 @@ struct WireConnectionHooks {
 /// invariants local instead of relying on that at a distance.
 class WireConnection {
  public:
-  WireConnection(std::shared_ptr<const WireBackend> backend,
-                 const ServeStreamOptions& options,
+  /// `router` must outlive the connection.
+  WireConnection(RegistryRouter* router, const ServeStreamOptions& options,
                  WireConnectionHooks hooks);
 
   /// Dispatches one complete request message (no framing, no newline).
@@ -232,7 +219,7 @@ class WireConnection {
 
   /// Ends the stream exactly once (idempotent): graceful finishes the
   /// owned clients' queued work, abort cancels it; non-connection-scoped
-  /// streams drain the whole backend instead. Safe to call after `quit`
+  /// streams drain the whole router instead. Safe to call after `quit`
   /// already ended the stream (no-op).
   void EndStream(bool graceful);
 
@@ -249,7 +236,7 @@ class WireConnection {
   void DoQuit();
   bool Owns(const std::string& client) const;
 
-  std::shared_ptr<const WireBackend> backend_;
+  RegistryRouter* router_;
   ServeStreamOptions options_;
   WireConnectionHooks hooks_;
 
@@ -264,22 +251,15 @@ class WireConnection {
 /// Reactor glue: callbacks that serve the wire protocol on every accepted
 /// connection with connection-scoped client semantics (a WireConnection
 /// per connection; `options.connection_scoped_clients` is forced on).
-/// The registry/router must outlive the ReactorServer.
-ReactorCallbacks MakeWireReactorCallbacks(SessionRegistry* registry,
-                                          ServeStreamOptions options);
+/// The router must outlive the ReactorServer.
 ReactorCallbacks MakeWireReactorCallbacks(RegistryRouter* router,
                                           ServeStreamOptions options);
 
 /// Serves the line protocol over a stream pair until `quit` or EOF.
 /// Thread-safe response writing (responses from concurrent strand
 /// completions interleave whole-line). Returns the first transport-level
-/// error; protocol-level errors are `err` responses. The registry overload
-/// rejects the dataset form of `open` (one registry = one dataset); the
-/// router overload routes it. `frame binary` answers err on this
-/// transport (framing is a socket-transport concern).
-Status ServeStream(SessionRegistry* registry, std::istream& in,
-                   std::ostream& out,
-                   const ServeStreamOptions& options = ServeStreamOptions());
+/// error; protocol-level errors are `err` responses. `frame binary`
+/// answers err on this transport (framing is a socket-transport concern).
 Status ServeStream(RegistryRouter* router, std::istream& in,
                    std::ostream& out,
                    const ServeStreamOptions& options = ServeStreamOptions());

@@ -97,21 +97,18 @@ void ServerMetrics::RaisePeak(std::atomic<int64_t>& peak, int64_t value) {
 }
 
 std::string ServerMetrics::RenderWireLine() const {
-  std::string out = StrFormat(
-      "connections=%lld connections_peak=%lld connections_total=%lld "
-      "frames_binary=%lld backpressure_closes=%lld idle_closes=%lld "
-      "eof_closes=%lld writes_queued_peak=%lld writes_retried=%lld "
-      "protocol_errors=%lld",
-      static_cast<long long>(connections_current.load()),
-      static_cast<long long>(connections_peak.load()),
-      static_cast<long long>(connections_total.load()),
-      static_cast<long long>(frames_binary.load()),
-      static_cast<long long>(backpressure_closes.load()),
-      static_cast<long long>(idle_closes.load()),
-      static_cast<long long>(eof_closes.load()),
-      static_cast<long long>(writes_queued_peak.load()),
-      static_cast<long long>(writes_retried.load()),
-      static_cast<long long>(protocol_errors.load()));
+  std::string out = RenderStatsLine({
+      {"connections", connections_current.load()},
+      {"connections_peak", connections_peak.load()},
+      {"connections_total", connections_total.load()},
+      {"frames_binary", frames_binary.load()},
+      {"backpressure_closes", backpressure_closes.load()},
+      {"idle_closes", idle_closes.load()},
+      {"eof_closes", eof_closes.load()},
+      {"writes_queued_peak", writes_queued_peak.load()},
+      {"writes_retried", writes_retried.load()},
+      {"protocol_errors", protocol_errors.load()},
+  });
   for (int v = 0; v < kNumWireVerbs; ++v) {
     HistogramSnapshot snap = per_verb[v].Snapshot();
     if (snap.count == 0) continue;
@@ -128,18 +125,16 @@ std::string ServerMetrics::RenderWireLine() const {
 }
 
 std::string ServerMetrics::RenderStatsFields() const {
-  return StrFormat(
-      "connections=%lld frames_binary=%lld backpressure_closes=%lld "
-      "writes_queued_peak=%lld writes_retried=%lld aborted_idle=%lld "
-      "aborted_backpressure=%lld aborted_eof=%lld",
-      static_cast<long long>(connections_current.load()),
-      static_cast<long long>(frames_binary.load()),
-      static_cast<long long>(backpressure_closes.load()),
-      static_cast<long long>(writes_queued_peak.load()),
-      static_cast<long long>(writes_retried.load()),
-      static_cast<long long>(idle_closes.load()),
-      static_cast<long long>(backpressure_closes.load()),
-      static_cast<long long>(eof_closes.load()));
+  return RenderStatsLine({
+      {"connections", connections_current.load()},
+      {"frames_binary", frames_binary.load()},
+      {"backpressure_closes", backpressure_closes.load()},
+      {"writes_queued_peak", writes_queued_peak.load()},
+      {"writes_retried", writes_retried.load()},
+      {"aborted_idle", idle_closes.load()},
+      {"aborted_backpressure", backpressure_closes.load()},
+      {"aborted_eof", eof_closes.load()},
+  });
 }
 
 }  // namespace rankhow

@@ -90,6 +90,17 @@ std::string Join(const std::vector<std::string>& items,
   return out;
 }
 
+std::string RenderStatsLine(std::initializer_list<StatsField> fields) {
+  std::string line;
+  for (const StatsField& field : fields) {
+    if (!line.empty()) line += ' ';
+    line += field.name;
+    line += '=';
+    line += std::to_string(field.value);
+  }
+  return line;
+}
+
 FlagParser::FlagParser(int argc, char** argv) {
   program_ = argc > 0 ? argv[0] : "prog";
   for (int i = 1; i < argc; ++i) {

@@ -2,9 +2,12 @@
 #define RANKHOW_UTIL_STRING_UTIL_H_
 
 /// \file string_util.h
-/// Small string helpers shared by CSV I/O, harness flag parsing, and
-/// human-readable formatting of scoring functions.
+/// Small string helpers shared by CSV I/O, harness flag parsing,
+/// human-readable formatting of scoring functions, and the counter lines
+/// the server and the coordinator put on the wire.
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +39,16 @@ std::string FormatDouble(double v, int precision = 6);
 
 /// Joins items with a separator.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);
+
+/// One field of a `stats`-style line: its wire name next to its value.
+struct StatsField {
+  const char* name;
+  int64_t value;
+};
+
+/// "name=value" per field, space-separated, in order — the shape of every
+/// counter list the server and the coordinator put on the wire.
+std::string RenderStatsLine(std::initializer_list<StatsField> fields);
 
 /// Very small command-line flag parser for harnesses/examples.
 ///

@@ -427,7 +427,8 @@ TEST(WarmCacheTest, ConcurrentPublishAndDrawIsRaceFree) {
         cache->Publish(MakeEntry(dfp, 0x100 * t + i, i % 7,
                                  {0.5 + 0.001 * t, 0.5 - 0.001 * t}));
         WarmCache::Draw draw =
-            cache->DrawFor({dfp, 0x100 * t + (i % 5)}, (t + i) % 2 == 0);
+            cache->DrawFor({dfp, static_cast<uint64_t>(0x100 * t + (i % 5))},
+                           (t + i) % 2 == 0);
         for (const WarmCache::Entry& e : draw.exact) {
           ASSERT_EQ(e.weights.size(), 2u);
         }

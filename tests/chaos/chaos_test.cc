@@ -1052,6 +1052,26 @@ bool WaitForCacheRecord(const std::string& cache_file,
   return false;
 }
 
+/// Polls the server's `stats` until its warm-cache writer has put every
+/// resident entry on disk (cache_appended >= cache_entries >= 1). A
+/// non-empty file is not enough when a script proves several problems: the
+/// background writer may have landed only the first record, and a SIGKILL
+/// then (correctly) loses the rest. Assumes a cache that started empty and
+/// publishes that each add an entry (every proof is of a new fingerprint).
+bool WaitForCacheWriter(WireClient* client, int timeout_ms = 10000) {
+  for (int waited = 0; waited < timeout_ms; waited += 20) {
+    if (!client->Send("stats\n")) return false;
+    auto stats = client->ReadLine();
+    if (!stats.has_value()) return false;
+    const long entries = ParseLongField(*stats, "cache_entries");
+    if (entries >= 1 && ParseLongField(*stats, "cache_appended") >= entries) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
 TEST(ChaosKillTest, RestartAfterKillWarmStartsFromCacheWithIdenticalError) {
   const std::string binary = CliBinaryOrEmpty();
   if (binary.empty()) {
@@ -1088,8 +1108,8 @@ TEST(ChaosKillTest, RestartAfterKillWarmStartsFromCacheWithIdenticalError) {
     ASSERT_GE(cold_error, 0) << *solved;
     ASSERT_GE(cold_nodes, 0) << *solved;
 
-    ASSERT_TRUE(WaitForCacheRecord(rig.CacheFile()))
-        << "proven winner never reached " << rig.CacheFile();
+    ASSERT_TRUE(WaitForCacheWriter(&client))
+        << "proven winners never reached " << rig.CacheFile();
     server.Kill();
   }
 

@@ -633,6 +633,14 @@ TEST(CoordTest, ScatterGatherSumsWorkerStatsWithBreakdown) {
   EXPECT_EQ(ParseField(*merged, "coord_workers"), 2) << *merged;
   EXPECT_EQ(ParseField(*merged, "coord_up"), 2) << *merged;
   EXPECT_EQ(ParseField(*merged, "coord_sessions"), 2) << *merged;
+  // The whole coord_* suffix, byte for byte, right before the breakdown.
+  EXPECT_NE(merged->find(" coord_workers=2 coord_up=2 coord_sessions=2 "
+                         "coord_commands=0 coord_failovers=0 "
+                         "coord_failover_sessions=0 "
+                         "coord_failover_failures=0 coord_replayed=0 "
+                         "coord_replay_errors=0 w0="),
+            std::string::npos)
+      << *merged;
   EXPECT_NE(merged->find(" w0=" + w0.Spec() + ":up"), std::string::npos)
       << *merged;
   EXPECT_NE(merged->find(" w1=" + w1.Spec() + ":up"), std::string::npos)

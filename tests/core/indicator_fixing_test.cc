@@ -147,8 +147,12 @@ TEST_P(FixingPropertyTest, ClassificationSoundAgainstSampling) {
       for (int a = 0; a < m; ++a) {
         diff += w[a] * (d.value(s, a) - d.value(0, a));
       }
-      if (cls[s] == 1) EXPECT_GE(diff, eps1 - 1e-12);
-      if (cls[s] == 0) EXPECT_LE(diff, 1e-12);
+      if (cls[s] == 1) {
+        EXPECT_GE(diff, eps1 - 1e-12);
+      }
+      if (cls[s] == 0) {
+        EXPECT_LE(diff, 1e-12);
+      }
     }
   }
 }

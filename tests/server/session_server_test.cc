@@ -27,6 +27,7 @@
 
 #include "app/cli_driver.h"
 #include "core/solve_session.h"
+#include "server/registry_router.h"
 #include "server/session_registry.h"
 #include "server/wire.h"
 #include "util/random.h"
@@ -524,12 +525,21 @@ TEST(SessionServerTest, CancelledSolveReturnsBudgetLimitedWithIncumbent) {
 
 TEST(SessionServerTest, ServeStreamSpeaksTheLineProtocol) {
   Rng rng(94);
-  ServerOptions server_options;
-  server_options.solver = SpatialOptions();
-  server_options.num_workers = 2;
-  SessionRegistry registry(SharedDataset(RandomDataset(rng, 10, 3)),
-                           RandomRanking(rng, 10, 4), TupleLabels(10),
-                           server_options);
+  RouterOptions router_options;
+  router_options.server.solver = SpatialOptions();
+  router_options.server.num_workers = 2;
+  RegistryRouter router(router_options);
+  Dataset data = RandomDataset(rng, 10, 3);
+  Ranking given = RandomRanking(rng, 10, 4);
+  ASSERT_TRUE(router
+                  .RegisterDataset(
+                      "players",
+                      [data, given]() -> Result<RegistryRouter::DatasetBundle> {
+                        return RegistryRouter::DatasetBundle{
+                            SharedDataset(Dataset(data)), given,
+                            TupleLabels(10)};
+                      })
+                  .ok());
 
   std::istringstream in(
       "open alice\n"
@@ -543,18 +553,19 @@ TEST(SessionServerTest, ServeStreamSpeaksTheLineProtocol) {
       "quit\n"
       "alice solve\n");  // after quit: never read
   std::ostringstream out;
-  ASSERT_TRUE(ServeStream(&registry, in, out).ok());
+  ASSERT_TRUE(ServeStream(&router, in, out).ok());
   const std::string output = out.str();
 
-  EXPECT_NE(output.find("ok open alice"), std::string::npos) << output;
+  EXPECT_NE(output.find("ok open alice players\n"), std::string::npos)
+      << output;
   EXPECT_NE(output.find("ok alice line=3"), std::string::npos) << output;
   EXPECT_NE(output.find("ok alice line=4"), std::string::npos) << output;
   EXPECT_NE(output.find("err - wire line 5"), std::string::npos) << output;
   EXPECT_NE(output.find("err alice client already open"), std::string::npos)
       << output;
   EXPECT_NE(output.find("err bob"), std::string::npos) << output;
-  // A single-registry server rejects the dataset form of open.
-  EXPECT_NE(output.find("err carol this server serves a single dataset"),
+  // The one-entry catalog knows only its own dataset id.
+  EXPECT_NE(output.find("err carol unknown dataset id: nba"),
             std::string::npos)
       << output;
   // quit drains before acking, so it is the last line.

@@ -1,13 +1,15 @@
 // Golden `stats` lines. A fixed script — one command at a time on one pool
-// worker, so every counter is deterministic — runs through a standalone
-// SessionRegistry and through a RegistryRouter with the journal and the
-// warm cache on, and each backend's full stats line must equal a literal.
-// The line is wire contract (docs/PROTOCOL.md "stats fields"): clients,
-// the coordinator's aggregation and perfbench read it by field name, so a
-// renamed, reordered or differently counted field fails here. The script
-// covers the events counted outside the sessions: cache and shared-pool
-// traffic, a copy-on-write `append`, a failed edit, graceful and aborted
-// closes, and a registry eviction.
+// worker, so every counter is deterministic — runs through a RegistryRouter
+// with the journal and the warm cache on, and its full stats line must
+// equal a literal; the same kind of script through a standalone
+// SessionRegistry must land on exact counter values. The line is wire
+// contract (docs/PROTOCOL.md "stats fields"): clients, the coordinator's
+// aggregation and perfbench read it by field name, so a renamed, reordered
+// or differently counted field fails here. The script covers the events
+// counted outside the sessions: cache and shared-pool traffic, a
+// copy-on-write `append`, a failed edit, graceful and aborted closes, and a
+// registry eviction. The transport fields ServerMetrics appends to `stats`,
+// and its `metrics` line, are pinned the same way.
 
 #include <unistd.h>
 
@@ -23,6 +25,7 @@
 #include "server/registry_router.h"
 #include "server/session_registry.h"
 #include "server/wire.h"
+#include "util/histogram.h"
 #include "util/random.h"
 
 namespace rankhow {
@@ -101,7 +104,7 @@ void RunLine(Backend* backend, const std::string& client,
   backend->Drain();
 }
 
-TEST(StatsGoldenTest, RegistryLineIsByteStable) {
+TEST(StatsGoldenTest, RegistryCountersAreStable) {
   TempDir dir;
   WarmCacheOptions cache_options;
   cache_options.synchronous_appends = true;
@@ -126,11 +129,22 @@ TEST(StatsGoldenTest, RegistryLineIsByteStable) {
   ASSERT_TRUE(registry.Close("alice", /*graceful=*/true).ok());
   registry.Drain();
 
-  EXPECT_EQ(MakeWireBackend(&registry).stats_line(),
-            "clients=1 datasets=1 commands=6 forks=1 shared_published=5 "
-            "shared_drawn=2 pending=0 shed=0 closed_graceful=1 "
-            "closed_aborted=0 cache_hits=1 cache_misses=4 "
-            "cache_demotions=3 cache_publishes=5");
+  const SessionRegistryStats r = registry.Stats();
+  EXPECT_EQ(r.open_clients, 1);
+  EXPECT_EQ(r.resident_dataset_copies, 1);
+  EXPECT_EQ(r.commands_executed, 6);
+  EXPECT_EQ(r.dataset_forks, 1);
+  EXPECT_EQ(r.shared_publishes, 5);
+  EXPECT_EQ(r.shared_draws, 2);
+  EXPECT_EQ(r.pending_commands, 0);
+  EXPECT_EQ(r.commands_shed, 0);
+  EXPECT_EQ(r.closes_graceful, 1);
+  EXPECT_EQ(r.closes_aborted, 0);
+  const WarmCacheStats c = (*cache)->Stats();
+  EXPECT_EQ(c.hits, 1);
+  EXPECT_EQ(c.misses, 4);
+  EXPECT_EQ(c.demotions, 3);
+  EXPECT_EQ(c.published, 5);
 }
 
 TEST(StatsGoldenTest, RouterLineIsByteStable) {
@@ -174,7 +188,7 @@ TEST(StatsGoldenTest, RouterLineIsByteStable) {
   RunLine(&router, "carol", "max-weight A1 0.6");
   router.Drain();
 
-  EXPECT_EQ(MakeWireBackend(&router).stats_line(),
+  EXPECT_EQ(RouterStatsLine(router),
             "registries=1 clients=1 datasets=1 commands=6 forks=1 loaded=2 "
             "evicted_registries=1 evicted_sessions=0 shared_published=6 "
             "shared_drawn=1 pending=0 shed=0 closed_graceful=1 "
@@ -185,6 +199,44 @@ TEST(StatsGoldenTest, RouterLineIsByteStable) {
             "cache_demotions=2 cache_publishes=6 cache_entries=5 "
             "cache_appended=5 cache_loaded=0 cache_skipped=0 "
             "cache_degraded=0");
+}
+
+TEST(StatsGoldenTest, ServerMetricsLinesAreByteStable) {
+  ServerMetrics metrics;
+  metrics.connections_current = 3;
+  metrics.connections_peak = 5;
+  metrics.connections_total = 11;
+  metrics.frames_binary = 42;
+  metrics.backpressure_closes = 1;
+  metrics.idle_closes = 2;
+  metrics.eof_closes = 4;
+  metrics.writes_queued_peak = 8192;
+  metrics.writes_retried = 7;
+  metrics.protocol_errors = 6;
+  metrics.RecordVerb(WireVerb::kOpen, 120);
+  metrics.RecordVerb(WireVerb::kStats, 35);
+  metrics.RecordVerb(WireVerb::kEdit, 900);
+  metrics.RecordVerb(WireVerb::kSolve, 1500);
+  metrics.RecordVerb(WireVerb::kSolve, 3000);
+  metrics.RecordVerb(WireVerb::kSolve, 250000);
+
+  EXPECT_EQ(metrics.RenderStatsFields(),
+            "connections=3 frames_binary=42 backpressure_closes=1 "
+            "writes_queued_peak=8192 writes_retried=7 aborted_idle=2 "
+            "aborted_backpressure=1 aborted_eof=4");
+  EXPECT_EQ(metrics.RenderWireLine(),
+            "connections=3 connections_peak=5 connections_total=11 "
+            "frames_binary=42 backpressure_closes=1 idle_closes=2 "
+            "eof_closes=4 writes_queued_peak=8192 writes_retried=7 "
+            "protocol_errors=6 "
+            "open.count=1 open.mean_us=120 open.p50_us=64 open.p99_us=64 "
+            "open.max_us=120 "
+            "stats.count=1 stats.mean_us=35 stats.p50_us=32 stats.p99_us=32 "
+            "stats.max_us=35 "
+            "edit.count=1 edit.mean_us=900 edit.p50_us=512 edit.p99_us=512 "
+            "edit.max_us=900 "
+            "solve.count=3 solve.mean_us=84833 solve.p50_us=2048 "
+            "solve.p99_us=2048 solve.max_us=250000");
 }
 
 }  // namespace

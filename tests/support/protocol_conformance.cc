@@ -86,12 +86,15 @@ void RunProtocolVerbWalk(const ListenAddress& endpoint,
   // frame: a text->text "switch" round-trips without disturbing the
   // stream (binary-path equivalence is the transport suites' job).
   EXPECT_EQ(roundtrip("frame text"), "ok frame text");
-  // Documented error replies: unknown verb, unknown client, bad dataset.
+  // Documented error replies: unknown verb, unknown client, bad dataset,
+  // duplicate open.
   EXPECT_EQ(roundtrip("alice frobnicate 1").rfind("err - wire line", 0), 0u);
   EXPECT_EQ(roundtrip("ghost solve"),
             "err ghost no client named ghost on this connection");
   EXPECT_EQ(roundtrip("open carol nope"),
             "err carol unknown dataset id: nope");
+  EXPECT_EQ(roundtrip("open alice d1"),
+            "err alice client already open: alice");
   // close, then quit.
   EXPECT_EQ(roundtrip("close alice"), "ok close alice");
   EXPECT_EQ(roundtrip("quit"), "ok quit");

@@ -14,7 +14,7 @@
 // By default it reproduces Example 4/5's three tuples exactly; point it at
 // any 3-attribute CSV with --data (first 3 numeric columns are used).
 //
-// Run: ./build/tools/tool_arrangement_dump [--resolution=60]
+// Run: ./build/arrangement_dump [--resolution=60]
 //      [--eps1=1e-6] [--eps2=0] [--data=file.csv --k=...]
 
 #include <fstream>

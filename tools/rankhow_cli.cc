@@ -8,11 +8,11 @@
 // the three objectives, all exact strategies, and SYM-GD for large inputs.
 //
 // Examples:
-//   tool_rankhow_cli --data=players.csv --id=PLR --rank=mvp_rank
-//   tool_rankhow_cli --data=players.csv --id=PLR --k=10 \
-//       --attrs=PTS,REB,AST,STL,BLK --min-weight=PTS:0.1 \
+//   build/rankhow_cli --data=players.csv --id=PLR --rank=mvp_rank
+//   build/rankhow_cli --data=players.csv --id=PLR --k=10
+//       --attrs=PTS,REB,AST,STL,BLK --min-weight=PTS:0.1
 //       --order="Jokic>Tatum" --strategy=milp --time-limit=30
-//   tool_rankhow_cli --data=big.csv --k=25 --sym-gd --cell=0.01
+//   build/rankhow_cli --data=big.csv --k=25 --sym-gd --cell=0.01
 
 #include <fstream>
 #include <iostream>
@@ -537,8 +537,6 @@ int main(int argc, char** argv) {
     server_options.num_workers = *threads;
     server_options.max_clients = std::max(64, clients);
     server_options.share_incumbents = share_incumbents;
-    SessionRegistry registry(SharedDataset(problem->data), problem->given,
-                             problem->labels, server_options);
     if (clients > 0) {
       // Deterministic scripted-client mode: client i streams the i-th
       // --session script (round-robin) — no transport, used by tests and
@@ -549,6 +547,8 @@ int main(int argc, char** argv) {
       }
       auto parsed = ParseSessionScripts(session_spec);
       if (!parsed.ok()) return Fail(parsed.status());
+      SessionRegistry registry(SharedDataset(problem->data), problem->given,
+                               problem->labels, server_options);
       auto runs = RunScriptedClients(&registry, parsed->scripts, clients);
       if (!runs.ok()) return Fail(runs.status());
       int exit_code = 0;
@@ -570,13 +570,26 @@ int main(int argc, char** argv) {
           static_cast<long long>(stats.dataset_forks));
       return exit_code;
     }
+    // The stdio stream serves a one-entry catalog named like a --listen
+    // dataset. The CSV is already loaded (errors surfaced above), so the
+    // loader hands out that snapshot.
+    ServerMetrics metrics;
+    RouterOptions router_options;
+    router_options.server = server_options;
+    router_options.max_open_sessions = server_options.max_clients;
+    RegistryRouter router(router_options);
+    Status registered = router.RegisterDataset(
+        DatasetIdFromPath(data_path),
+        [data = SharedDataset(problem->data), given = problem->given,
+         labels = problem->labels]() -> Result<RegistryRouter::DatasetBundle> {
+          return RegistryRouter::DatasetBundle{data, given, labels};
+        });
+    if (!registered.ok()) return Fail(registered);
     // The stdio stream still gets verb latencies (`metrics` works over a
     // pipe too); there is no transport, so the gauges stay zero.
-    ServerMetrics metrics;
     ServeStreamOptions stdio_options;
     stdio_options.metrics = &metrics;
-    Status served = ServeStream(&registry, std::cin, std::cout,
-                                stdio_options);
+    Status served = ServeStream(&router, std::cin, std::cout, stdio_options);
     if (!served.ok()) return Fail(served);
     return 0;
   }
