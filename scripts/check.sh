@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One-command CI gate: the tier-1 configure/build/ctest line from ROADMAP.md,
-# two loopback smokes against the real binaries, the repository benchmark's
-# own tests, then the sanitizer presets from CMakePresets.json. Each suite
-# runs once per preset:
+# One-command CI gate: the tier-1 configure/build/ctest line from ROADMAP.md
+# (with warnings as errors), two loopback smokes against the real binaries,
+# the repository benchmark's own tests, then the sanitizer presets from
+# CMakePresets.json. Each suite runs once per preset:
 #   * tsan  — `ctest --preset tsan` runs every suite labelled `tsan`: the
 #     parallel search, the session server, the epoll reactor (net), the
 #     warm cache, the shard coordinator, the data kernels, and
@@ -17,7 +17,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: default build + full ctest =="
-cmake -B build -S .
+# Warnings (-Wall -Wextra) fail the build here, so none slips back in
+# unnoticed. CMAKE_COMPILE_WARNING_AS_ERROR is CMake's own (3.24+).
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 

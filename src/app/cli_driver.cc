@@ -527,9 +527,9 @@ Result<SessionStepOutcome> ExecuteSessionCommand(
     // tell applied-but-unsolved from rejected (it reverses the former with
     // an explicit drop/eps/objective edit).
     return Status(result.status().code(),
-                  StrFormat("session script line %d: solve failed after "
-                            "edit applied: %s",
-                            cmd.line, result.status().message().c_str()));
+                  StrFormat("session script line %d: %s: %s", cmd.line,
+                            kSolveFailedAfterEdit,
+                            result.status().message().c_str()));
   }
   return SessionStepOutcome{cmd, *std::move(result)};
 }

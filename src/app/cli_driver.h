@@ -176,6 +176,11 @@ struct SessionStepOutcome {
 Status ApplySessionCommand(SolveSession* session, const SessionCommand& cmd,
                            const std::vector<std::string>& labels);
 
+/// ExecuteSessionCommand's error when the solve failed after the edit stuck;
+/// WireResponseEditApplied (server/wire.h) reads it back.
+inline constexpr char kSolveFailedAfterEdit[] =
+    "solve failed after edit applied";
+
 /// One script step, exactly as the session server executes it: apply the
 /// edit, then solve. A failed edit returns its status (session intact, no
 /// solve); a failed solve propagates. The multi-client equivalence harness
@@ -183,8 +188,8 @@ Status ApplySessionCommand(SolveSession* session, const SessionCommand& cmd,
 /// replays execute identical code.
 ///
 /// `edit_applied` (optional) reports whether the edit mutated the session —
-/// true even when the subsequent solve failed ("solve failed after edit
-/// applied"), which is exactly the bit the write-ahead journal needs: a
+/// true even when the subsequent solve failed (kSolveFailedAfterEdit),
+/// which is exactly the bit the write-ahead journal needs: a
 /// command whose edit stuck must be journaled whether or not its solve
 /// finished. A non-zero cmd.deadline_ms caps the solve's wall clock at
 /// min(session time limit, deadline); the configured limit is restored

@@ -48,7 +48,8 @@ Result<LinearRegressionFit> FitLinearRegression(
     RH_ASSIGN_OR_RETURN(beta, NonNegativeLeastSquares(xa, yc));
     beta.push_back(y_mean);
   } else {
-    RH_ASSIGN_OR_RETURN(beta, LeastSquares(x, y, options.ridge));
+    constexpr double kRidge = 1e-8;  // used only as a singularity fallback
+    RH_ASSIGN_OR_RETURN(beta, LeastSquares(x, y, kRidge));
   }
 
   LinearRegressionFit fit;

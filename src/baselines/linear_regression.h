@@ -20,8 +20,6 @@ namespace rankhow {
 struct LinearRegressionOptions {
   /// Fit with β >= 0 (Lawson–Hanson NNLS) instead of plain OLS.
   bool non_negative = false;
-  /// Ridge used only as a singularity fallback.
-  double ridge = 1e-8;
 };
 
 struct LinearRegressionFit {

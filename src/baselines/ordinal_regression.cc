@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "lp/simplex.h"
@@ -14,8 +15,19 @@ namespace rankhow {
 
 namespace {
 
+/// Allowed |score difference| for tied pairs (the tie extension; only
+/// meaningful when support_ties).
+constexpr double kTieBand = 0.0;
+/// Subgradient iterations and base step size of the large-input path.
+constexpr int kSubgradientIters = 1500;
+constexpr double kSubgradientLr = 0.05;
+/// Cap on sampled (last-ranked, ⊥) pairs for huge inputs.
+constexpr int kMaxBottomPairs = 20000;
+/// Deterministic RNG stream of that sampling.
+constexpr uint64_t kSamplingSeed = 0x4F52ULL;
+
 /// A pair constraint: tuple `above` should outscore `below` by `margin`
-/// (strict pair), or stay within tie_band (tie == true).
+/// (strict pair), or stay within kTieBand (tie == true).
 struct OrderedPair {
   int above;
   int below;
@@ -67,10 +79,9 @@ Result<std::vector<OrderedPair>> BuildPairs(
   for (int t = 0; t < given.num_tuples(); ++t) {
     if (!given.IsRanked(t)) unranked.push_back(t);
   }
-  if (options.max_bottom_pairs > 0 &&
-      static_cast<int>(unranked.size()) > options.max_bottom_pairs) {
+  if (static_cast<int>(unranked.size()) > kMaxBottomPairs) {
     rng->Shuffle(&unranked);
-    unranked.resize(options.max_bottom_pairs);
+    unranked.resize(kMaxBottomPairs);
   }
   for (int u : unranked) {
     // Use the first tuple of the last ranked group as the representative.
@@ -81,7 +92,7 @@ Result<std::vector<OrderedPair>> BuildPairs(
 
 double PairMargin(const OrderedPair& pair, const Ranking& given,
                   const OrdinalRegressionOptions& options) {
-  if (pair.tie) return 0;  // handled via tie_band rows
+  if (pair.tie) return 0;  // handled via kTieBand rows
   // ⊥ tuples may tie with the last ranked position: zero margin.
   if (!given.IsRanked(pair.below)) return 0;
   return options.margin;
@@ -109,14 +120,13 @@ Result<OrdinalRegressionFit> SolveWithLp(
           w[a], data.value(pair.above, a) - data.value(pair.below, a));
     }
     if (pair.tie) {
-      // |diff| <= tie_band + z with z >= 0 shared across both sides:
-      // diff − z <= tie_band  and  diff + z >= −tie_band.
+      // |diff| <= kTieBand + z with z >= 0 shared across both sides:
+      // diff − z <= kTieBand  and  diff + z >= −kTieBand.
       int z = lp.AddVariable(0.0, kInfinity, "z_tie");
       objective += LinearExpr::Term(z, 1.0);
-      lp.AddConstraint(diff - LinearExpr::Term(z, 1.0), RelOp::kLe,
-                       options.tie_band);
+      lp.AddConstraint(diff - LinearExpr::Term(z, 1.0), RelOp::kLe, kTieBand);
       lp.AddConstraint(diff + LinearExpr::Term(z, 1.0), RelOp::kGe,
-                       -options.tie_band);
+                       -kTieBand);
     } else {
       int z = lp.AddVariable(0.0, kInfinity, "z");
       objective += LinearExpr::Term(z, 1.0);
@@ -143,16 +153,11 @@ std::vector<double> ProjectToSimplex(std::vector<double> v) {
   std::sort(sorted.begin(), sorted.end(), std::greater<double>());
   double cumsum = 0;
   double theta = 0;
-  int rho = 0;
   for (size_t i = 0; i < sorted.size(); ++i) {
     cumsum += sorted[i];
     double candidate = (cumsum - 1.0) / static_cast<double>(i + 1);
-    if (sorted[i] - candidate > 0) {
-      rho = static_cast<int>(i + 1);
-      theta = candidate;
-    }
+    if (sorted[i] - candidate > 0) theta = candidate;
   }
-  (void)rho;
   for (double& x : v) x = std::max(0.0, x - theta);
   return v;
 }
@@ -177,7 +182,7 @@ OrdinalRegressionFit SolveWithSubgradient(
                 (data.value(pair.above, a) - data.value(pair.below, a));
       }
       if (pair.tie) {
-        double excess = std::abs(diff) - options.tie_band;
+        double excess = std::abs(diff) - kTieBand;
         if (excess > 0) {
           loss += excess;
           double sign = diff > 0 ? 1.0 : -1.0;
@@ -201,7 +206,7 @@ OrdinalRegressionFit SolveWithSubgradient(
   };
 
   std::vector<double> grad(m);
-  for (int iter = 0; iter < options.subgradient_iters; ++iter) {
+  for (int iter = 0; iter < kSubgradientIters; ++iter) {
     double loss = loss_and_grad(w, &grad);
     if (loss < best_loss) {
       best_loss = loss;
@@ -210,7 +215,7 @@ OrdinalRegressionFit SolveWithSubgradient(
     }
     double grad_norm = std::sqrt(Dot(grad, grad));
     if (grad_norm < 1e-15) break;
-    double lr = options.subgradient_lr / (1.0 + 0.05 * iter) / grad_norm;
+    double lr = kSubgradientLr / (1.0 + 0.05 * iter) / grad_norm;
     for (int a = 0; a < m; ++a) w[a] -= lr * grad[a];
     w = ProjectToSimplex(std::move(w));
   }
@@ -231,7 +236,7 @@ Result<OrdinalRegressionFit> FitOrdinalRegression(
     return Status::Invalid("dataset / ranking size mismatch");
   }
   WallTimer timer;
-  Rng rng(options.seed ^ 0x4F52ULL);
+  Rng rng(kSamplingSeed);
   RH_ASSIGN_OR_RETURN(std::vector<OrderedPair> pairs,
                       BuildPairs(given, options, &rng));
   Result<OrdinalRegressionFit> fit =

@@ -12,7 +12,6 @@
 /// identical hinge objective (same minimizer family, scales to millions of
 /// tuples — needed when this runs as the SYM-GD seed on 10⁶-tuple inputs).
 
-#include <cstdint>
 #include <vector>
 
 #include "data/dataset.h"
@@ -25,20 +24,11 @@ struct OrdinalRegressionOptions {
   /// Required score separation for strictly ordered pairs (the paper's OR+
   /// sets this to ε₁; OR- uses a value below the noise floor).
   double margin = 1e-6;
-  /// Allowed |score difference| for tied pairs (the tie extension; only
-  /// meaningful when support_ties).
-  double tie_band = 0.0;
   /// Enable the paper's tie extension. When false and the ranking contains
   /// ties, fitting fails (the original technique's behavior).
   bool support_ties = true;
   /// Pair-count threshold above which the subgradient path is used.
   int max_lp_pairs = 3000;
-  /// Subgradient iterations / step parameters.
-  int subgradient_iters = 1500;
-  double subgradient_lr = 0.05;
-  /// Cap on sampled (last-ranked, ⊥) pairs for huge inputs; 0 = all.
-  int max_bottom_pairs = 20000;
-  uint64_t seed = 0;
 };
 
 struct OrdinalRegressionFit {

@@ -104,7 +104,7 @@ class CoordServer::Downstream
     int worker = -1;
     bool open_acked = false;
     bool recovered_pending = false;  ///< failed over; next open adopts
-    std::vector<std::string> acked_edits;  ///< ok-acked edit lines, in order
+    std::vector<std::string> acked_edits;  ///< edits that stuck, in order
   };
 
   void HandleLine(const std::string& payload);
@@ -470,13 +470,16 @@ void CoordServer::Downstream::OnUpstreamResponse(int worker,
                                                  const std::string& response) {
   (void)worker;
   const bool ok = StartsWith(response, "ok ");
+  // An edit whose re-solve failed still stuck on the worker (PROTOCOL.md
+  // "Error semantics"), so failover must replay it like an ok-acked one.
+  const bool edit_stuck = entry.is_edit && WireResponseEditApplied(response);
   std::string out;
   {
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_;
     drain_cv_.notify_all();
     if (entry.swallow) {
-      if (!ok && entry.kind != ProxyEntry::Kind::kClose) {
+      if (!ok && !edit_stuck && entry.kind != ProxyEntry::Kind::kClose) {
         server_->c_replay_errors_.fetch_add(1);
         std::fprintf(stderr,
                      "rankhow_coord: swallowed %s failed: %s\n",
@@ -494,7 +497,7 @@ void CoordServer::Downstream::OnUpstreamResponse(int worker,
     }
     switch (entry.kind) {
       case ProxyEntry::Kind::kCommand: {
-        if (ok && entry.is_edit) {
+        if (edit_stuck) {
           auto it = sessions_.find(entry.client);
           if (it != sessions_.end()) {
             it->second.acked_edits.push_back(entry.payload);

@@ -56,8 +56,8 @@ Status OptProblem::Validate() const {
   if (given->k() < 1) return Status::Invalid("ranking has no ranked tuples");
   if (!eps.Valid()) {
     return Status::Invalid(StrFormat(
-        "epsilon configuration violates Lemma 2/3 ordering: eps2=%g <= "
-        "tie_eps=%g < eps1=%g required",
+        "epsilon configuration violates Lemma 2/3 ordering: finite "
+        "eps2=%g <= tie_eps=%g < eps1=%g required",
         eps.eps2, eps.tie_eps, eps.eps1));
   }
   for (const PositionConstraint& pc : position_constraints) {

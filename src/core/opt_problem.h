@@ -6,6 +6,7 @@
 /// weight predicate P, the numerical-gap parameters (ε, ε₁, ε₂), and the
 /// optional rank-position side constraints of Example 1.
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -26,10 +27,12 @@ struct EpsilonConfig {
   /// ε₂ of Equation (2): δ = 0 requires f(s) − f(r) <= ε₂.
   double eps2 = 0.0;
 
-  /// Lemma 2/3 sanity: ε₂ < ε₁ and ε₂ <= ε < ε₁ (so verified indicator
-  /// values are consistent with the ε-tie semantics).
+  /// Lemma 2/3 sanity: all three finite, ε₂ < ε₁ and ε₂ <= ε < ε₁ (so
+  /// verified indicator values are consistent with the ε-tie semantics).
   bool Valid() const {
-    return eps2 < eps1 && eps2 <= tie_eps && tie_eps < eps1;
+    return std::isfinite(tie_eps) && std::isfinite(eps1) &&
+           std::isfinite(eps2) && eps2 < eps1 && eps2 <= tie_eps &&
+           tie_eps < eps1;
   }
 };
 

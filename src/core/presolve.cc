@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/seeding.h"
 #include "data/kernels.h"
@@ -48,6 +49,15 @@ std::optional<long> EvaluateTrueError(const OptProblem& problem,
 }
 
 namespace {
+
+/// Random simplex samples blended into the target box.
+constexpr int kNumRandomSamples = 400;
+/// How many of the best candidates get local-search refinement.
+constexpr int kRefineCandidates = 3;
+/// Pairwise mass-transfer rounds per refined candidate.
+constexpr int kRefineRounds = 80;
+/// The deterministic RNG stream of the random samples and the refinement.
+constexpr uint64_t kSeed = 0x9E3779B97F4A7C15ULL;
 
 /// A candidate weight vector with its evaluated error.
 struct Candidate {
@@ -157,9 +167,9 @@ Result<PresolveResult> RevalidateIncumbents(
     return result;  // found() == false: pool fully invalidated by the edit
   }
   if (best.error > 0) {
-    Rng rng(options.seed);
-    RefineCandidate(problem, tight, options.refine_rounds, &rng, deadline,
-                    &best, &result.evaluated);
+    Rng rng(kSeed);
+    RefineCandidate(problem, tight, kRefineRounds, &rng, deadline, &best,
+                    &result.evaluated);
   }
   result.weights = std::move(best.weights);
   result.error = best.error;
@@ -182,7 +192,7 @@ Result<PresolveResult> PresolveIncumbent(const OptProblem& problem,
 
   WallTimer timer;
   Deadline deadline(options.time_budget_seconds);
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   PresolveResult result;
 
   std::vector<Candidate> pool;
@@ -204,7 +214,7 @@ Result<PresolveResult> PresolveIncumbent(const OptProblem& problem,
   }
 
   // 2. Regression seeds (Sec. IV-B's first seeding strategy).
-  if (options.use_regression_seeds && !deadline.Expired()) {
+  if (!deadline.Expired()) {
     if (auto ord = OrdinalRegressionSeed(*problem.data, *problem.given,
                                          problem.eps.eps1);
         ord.ok()) {
@@ -217,8 +227,7 @@ Result<PresolveResult> PresolveIncumbent(const OptProblem& problem,
   }
 
   // 3. Random simplex points, one far blend + one half blend each.
-  for (int s = 0; s < options.num_random_samples && !deadline.Expired();
-       ++s) {
+  for (int s = 0; s < kNumRandomSamples && !deadline.Expired(); ++s) {
     std::vector<double> p = rng.NextSimplexPoint(m);
     if (auto w = BlendIntoBox(p, anchor, tight, 0.98)) consider(*w);
     if (auto w = BlendIntoBox(p, anchor, tight, 0.5)) consider(*w);
@@ -234,11 +243,11 @@ Result<PresolveResult> PresolveIncumbent(const OptProblem& problem,
             [](const Candidate& a, const Candidate& b) {
               return a.error < b.error;
             });
-  int refine = std::min<int>(options.refine_candidates,
+  int refine = std::min<int>(kRefineCandidates,
                              static_cast<int>(pool.size()));
   for (int i = 0; i < refine && !deadline.Expired(); ++i) {
-    RefineCandidate(problem, tight, options.refine_rounds, &rng, deadline,
-                    &pool[i], &result.evaluated);
+    RefineCandidate(problem, tight, kRefineRounds, &rng, deadline, &pool[i],
+                    &result.evaluated);
     if (pool[i].error == 0) break;
   }
 

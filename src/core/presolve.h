@@ -15,7 +15,6 @@
 /// same effect Gurobi gets from its own primal heuristics, which the paper's
 /// Section III-B credits for the MILP solver's speed.
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -26,18 +25,8 @@
 namespace rankhow {
 
 struct PresolveOptions {
-  /// Random simplex samples blended into the target box.
-  int num_random_samples = 400;
-  /// How many of the best candidates get local-search refinement.
-  int refine_candidates = 3;
-  /// Pairwise mass-transfer rounds per refined candidate.
-  int refine_rounds = 80;
-  /// Wall-clock cap for the whole presolve (samples + refinement).
+  /// Wall-clock cap for the whole presolve (samples + refinement); 0 = none.
   double time_budget_seconds = 2.0;
-  /// Deterministic RNG stream.
-  uint64_t seed = 0x9E3779B97F4A7C15ULL;
-  /// Also try ordinal/linear regression seeds (skipped when they fail).
-  bool use_regression_seeds = true;
 };
 
 struct PresolveResult {

@@ -81,6 +81,37 @@ std::optional<long> EvaluateOnModel(const OptProblem& problem,
                            problem.objective);
 }
 
+/// The branch-and-bound configuration of one indicator-MILP search (a SAT
+/// probe or the optimization itself) under `options` and `deadline`.
+BnbOptions MilpBnbOptions(const RankHowOptions& options,
+                          const Deadline& deadline) {
+  BnbOptions bnb_options;
+  bnb_options.time_limit_seconds = deadline.RemainingOrZero();
+  bnb_options.max_nodes = options.max_nodes;
+  bnb_options.objective_is_integral = true;
+  bnb_options.lazy_separation = options.use_lazy_separation;
+  bnb_options.use_warm_start = options.use_warm_start;
+  bnb_options.num_threads = options.num_threads;
+  bnb_options.cancel = options.cancel;
+  return bnb_options;
+}
+
+/// Re-computes `result`'s error in exact arithmetic (Sec. V-A) when
+/// `options.verify` is set, and attaches the verification report.
+Status VerifyIfRequested(const OptProblem& problem,
+                         const RankHowOptions& options,
+                         RankHowResult* result) {
+  if (!options.verify) return Status();
+  RH_ASSIGN_OR_RETURN(
+      VerificationReport report,
+      VerifySolutionObjective(*problem.data, *problem.given,
+                              result->function.weights, problem.eps.tie_eps,
+                              result->claimed_error, problem.objective));
+  result->error = report.exact_error;
+  result->verification = std::move(report);
+  return Status();
+}
+
 }  // namespace
 
 const char* SolveStrategyName(SolveStrategy strategy) {
@@ -313,17 +344,7 @@ Result<RankHowResult> SolveOptSpatial(const OptProblem& problem,
     result.num_fixed_indicators =
         fixing->total_fixed_one + fixing->total_fixed_zero;
   }
-
-  if (options.verify) {
-    RH_ASSIGN_OR_RETURN(
-        VerificationReport report,
-        VerifySolutionObjective(*problem.data, *problem.given,
-                                result.function.weights,
-                                problem.eps.tie_eps, result.claimed_error,
-                                problem.objective));
-    result.error = report.exact_error;
-    result.verification = std::move(report);
-  }
+  RH_RETURN_NOT_OK(VerifyIfRequested(problem, options, &result));
   return result;
 }
 
@@ -352,16 +373,7 @@ Result<RankHowResult> SolveOptModelSat(const OptProblem& problem,
       probe.lp().AddConstraint(objective, RelOp::kLe,
                                static_cast<double>(*budget), "sat_budget");
     }
-    BnbOptions bnb_options;
-    bnb_options.time_limit_seconds = deadline.RemainingOrZero();
-    bnb_options.max_nodes = options.max_nodes;
-    bnb_options.objective_is_integral = true;
-    bnb_options.lazy_separation = options.use_lazy_separation;
-    bnb_options.use_warm_start = options.use_warm_start;
-    bnb_options.num_threads = options.num_threads;
-    bnb_options.cancel = options.cancel;
-    bnb_options.lp_options = options.lp_options;
-    BranchAndBound solver(bnb_options);
+    BranchAndBound solver(MilpBnbOptions(options, deadline));
     if (options.use_primal_heuristic) {
       solver.SetPrimalHeuristic(
           [&problem, &model, &objective, budget](
@@ -461,17 +473,7 @@ Result<RankHowResult> SolveOptModelSat(const OptProblem& problem,
   result.proven_optimal = !undecided && lo >= hi;
   result.num_free_indicators = model.num_free_indicators;
   result.num_fixed_indicators = model.num_fixed_indicators;
-
-  if (options.verify) {
-    RH_ASSIGN_OR_RETURN(
-        VerificationReport report,
-        VerifySolutionObjective(*problem.data, *problem.given,
-                                result.function.weights,
-                                problem.eps.tie_eps, result.claimed_error,
-                                problem.objective));
-    result.error = report.exact_error;
-    result.verification = std::move(report);
-  }
+  RH_RETURN_NOT_OK(VerifyIfRequested(problem, options, &result));
   return result;
 }
 
@@ -480,15 +482,7 @@ Result<RankHowResult> SolveOptModelMilp(const OptProblem& problem,
                                         const OptModel& model,
                                         const ExactSolveSeed& seed,
                                         const Deadline& deadline) {
-  BnbOptions bnb_options;
-  bnb_options.time_limit_seconds = deadline.RemainingOrZero();
-  bnb_options.max_nodes = options.max_nodes;
-  bnb_options.objective_is_integral = true;
-  bnb_options.lazy_separation = options.use_lazy_separation;
-  bnb_options.use_warm_start = options.use_warm_start;
-  bnb_options.num_threads = options.num_threads;
-  bnb_options.cancel = options.cancel;
-  bnb_options.lp_options = options.lp_options;
+  BnbOptions bnb_options = MilpBnbOptions(options, deadline);
   if (seed.lower_bound >= 0) {
     bnb_options.external_lower_bound = static_cast<double>(seed.lower_bound);
   }
@@ -533,17 +527,7 @@ Result<RankHowResult> SolveOptModelMilp(const OptProblem& problem,
   result.stats = bnb.stats;
   result.num_free_indicators = model.num_free_indicators;
   result.num_fixed_indicators = model.num_fixed_indicators;
-
-  if (options.verify) {
-    RH_ASSIGN_OR_RETURN(
-        VerificationReport report,
-        VerifySolutionObjective(*problem.data, *problem.given,
-                                result.function.weights,
-                                problem.eps.tie_eps, result.claimed_error,
-                                problem.objective));
-    result.error = report.exact_error;
-    result.verification = std::move(report);
-  }
+  RH_RETURN_NOT_OK(VerifyIfRequested(problem, options, &result));
   return result;
 }
 

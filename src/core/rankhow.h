@@ -25,7 +25,6 @@
 #include "core/presolve.h"
 #include "core/scoring_function.h"
 #include "core/spatial_bnb.h"
-#include "lp/simplex.h"
 #include "milp/branch_and_bound.h"
 #include "ranking/verifier.h"
 #include "util/status.h"
@@ -111,7 +110,6 @@ struct RankHowOptions {
   /// "Session architecture"), so long tighten runs keep low-error anchors
   /// warm for later relax edits.
   int incumbent_pool_cap = 8;
-  SimplexOptions lp_options;
 };
 
 struct RankHowResult {

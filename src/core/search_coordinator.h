@@ -44,7 +44,7 @@ class SearchCoordinator {
  public:
   /// `improvement_tol`: a candidate is installed iff its objective is
   /// strictly below best − improvement_tol at install time (the MILP path
-  /// passes its abs_gap; the spatial path passes 0 — its objectives are
+  /// passes its kAbsGap; the spatial path passes 0 — its objectives are
   /// integral longs, so strict `<` is exact). `external_cancel`, when
   /// non-null, is an owner-held cooperative cancel flag (a session server
   /// client's): workers poll it alongside the deadline and treat a set flag

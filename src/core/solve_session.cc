@@ -109,7 +109,8 @@ Status SolveSession::AddPositionConstraint(PositionConstraint constraint) {
 
 Status SolveSession::SetEpsilon(const EpsilonConfig& eps) {
   if (!eps.Valid()) {
-    return Status::Invalid("epsilons must satisfy eps2 <= eps < eps1");
+    return Status::Invalid(
+        "epsilons must be finite and satisfy eps2 <= eps < eps1");
   }
   const EpsilonConfig old = problem_.eps;
   problem_.eps = eps;
@@ -152,6 +153,15 @@ Status SolveSession::AppendTuple(const std::vector<double>& values,
     return Status::Invalid(
         StrFormat("tuple has %d values, dataset has %d attributes",
                   static_cast<int>(values.size()), data().num_attributes()));
+  }
+  // Validate before mutating: no edit removes a tuple, and a non-finite
+  // value would fail every later solve.
+  for (int a = 0; a < data().num_attributes(); ++a) {
+    if (!std::isfinite(values[a])) {
+      return Status::Invalid(StrFormat("attribute %s value %g is not finite",
+                                       data().attribute_name(a).c_str(),
+                                       values[a]));
+    }
   }
   std::vector<int> positions = given_.get().positions();
   positions.push_back(kUnranked);

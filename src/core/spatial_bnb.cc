@@ -16,6 +16,12 @@ namespace rankhow {
 
 namespace {
 
+/// Boxes narrower than this in every dimension are resolved by point
+/// evaluation instead of further splitting. Points inside such a box sit
+/// within floating-point noise of an indicator hyperplane — exactly the
+/// region the paper's ε-gap machinery excludes from solutions anyway.
+constexpr double kMinBoxWidth = 1e-9;
+
 /// A subdivision node: a box with the lower bound its parent proved for it
 /// (tightened on expansion).
 struct Node {
@@ -232,7 +238,7 @@ void ProcessBox(SearchShared& sh, WorkerState& ws, Node node) {
     // all_fixed test; the LP point satisfies P).
     return;
   }
-  if (MaxWidth(node.box) <= sh.options.min_box_width) {
+  if (MaxWidth(node.box) <= kMinBoxWidth) {
     // Resolution floor: the box straddles a hyperplane within numerical
     // noise. The evaluation above settled it unless its value is above
     // the bound — then the proof has a hole we must report. (A stale

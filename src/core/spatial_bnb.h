@@ -73,11 +73,6 @@ struct SpatialBnbOptions {
   double time_limit_seconds = 0;
   /// Box-expansion cap; 0 = unlimited.
   int64_t max_boxes = 0;
-  /// Boxes narrower than this in every dimension are resolved by point
-  /// evaluation instead of further splitting. Points inside such a box sit
-  /// within floating-point noise of an indicator hyperplane — exactly the
-  /// region the paper's ε-gap machinery excludes from solutions anyway.
-  double min_box_width = 1e-9;
   /// Per-box P-feasibility LPs through a warm-started BoxFeasibilityOracle
   /// (default) instead of building + cold-solving an LpModel per box.
   bool use_warm_start = true;
@@ -110,8 +105,9 @@ struct SpatialBnbStats {
   int64_t boxes_pruned_bound = 0;
   int64_t boxes_pruned_infeasible = 0;
   int64_t incumbent_updates = 0;
-  /// Boxes that hit min_box_width with bound < evaluation — the only source
-  /// of proof loss (see proven_optimal).
+  /// Boxes that hit the width floor (kMinBoxWidth in spatial_bnb.cc) with
+  /// bound < evaluation — the only source of proof loss (see
+  /// proven_optimal).
   int64_t floor_misses = 0;
   /// P-feasibility LP queries and the simplex pivots they cost (zero when P
   /// has no general rows — pure box/simplex feasibility needs no LP at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/seeding.h"
 #include "util/logging.h"
@@ -38,6 +39,7 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
         "around a point on the weight simplex",
         seed_sum));
   }
+  constexpr int kMaxIterations = 1000;  // safety cap on descent steps
   Deadline deadline(options_.time_budget_seconds);
   WallTimer timer;
   // The portfolio's kill switch reads like an expired budget: the descent
@@ -56,9 +58,8 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
   // Outer loop = Algorithm 2's cell doubling; a single pass when
   // non-adaptive (Algorithm 1).
   while (true) {
-    bool converged = false;
     // Inner loop = Algorithm 1: move to the cell optimum until stuck.
-    while (result.iterations < options_.max_iterations) {
+    while (result.iterations < kMaxIterations) {
       if (stopped()) break;
       // Budget the inner MILP so one oversized cell cannot eat t_total
       // (Sec. IV-C's motivation for the adaptive variant).
@@ -92,18 +93,12 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
         result.function = std::move(step->function);
         result.error = step->error;
       }
-      if (!improved && result.iterations > 1) {
-        converged = true;  // error(W_i) == error(W_{i-1}): local optimum
-        break;
-      }
-      if (current_error == 0) {
-        converged = true;  // perfect ranking; nothing to improve
-        break;
-      }
+      // error(W_i) == error(W_{i-1}) is a local optimum; a perfect ranking
+      // has nothing left to improve.
+      if ((!improved && result.iterations > 1) || current_error == 0) break;
     }
-    (void)converged;
     if (!options_.adaptive || stopped() ||
-        result.iterations >= options_.max_iterations || current_error == 0) {
+        result.iterations >= kMaxIterations || current_error == 0) {
       break;
     }
     cell = std::min(cell * 2, 1.999);  // Algorithm 2, line 6
@@ -123,9 +118,13 @@ Result<SymGdResult> SymGd::RunPortfolio() const {
   const Dataset& data = *problem.data;
   const Ranking& given = *problem.given;
   const int num_seeds = std::max(1, options_.num_seeds);
+  // Base of the deterministic Rng::SplitStream family that supplies the
+  // random seeds — portfolio results are a pure function of (instance,
+  // options), independent of thread schedule.
+  constexpr uint64_t kPortfolioSeed = 17;
   std::vector<PortfolioSeed> seeds =
       BuildPortfolioSeeds(data, given, options_.solver.eps.eps1, num_seeds,
-                          options_.portfolio_seed);
+                          kPortfolioSeed);
   RH_CHECK(static_cast<int>(seeds.size()) == num_seeds);
 
   Deadline deadline(options_.time_budget_seconds);

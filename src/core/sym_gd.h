@@ -35,15 +35,9 @@ struct SymGdOptions {
   double time_budget_seconds = 0;
   /// Run Algorithm 2 (cell doubling on convergence) instead of Algorithm 1.
   bool adaptive = false;
-  /// Safety cap on descent steps.
-  int max_iterations = 1000;
   /// Portfolio size for RunPortfolio: how many diverse seeds race. 1 gives
   /// a single ordinal-regression-seeded descent; Run(seed) ignores this.
   int num_seeds = 4;
-  /// Base of the deterministic Rng::SplitStream family that supplies the
-  /// random portfolio seeds — portfolio results are a pure function of
-  /// (instance, options), independent of thread schedule.
-  uint64_t portfolio_seed = 17;
   /// Optional cooperative kill switch: when non-null and set, the descent
   /// stops at the next iteration boundary as if the budget expired (used
   /// by the portfolio to wind down losers after a perfect seed wins).

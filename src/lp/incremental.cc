@@ -22,8 +22,7 @@ inline bool Finite(double v) { return std::isfinite(v); }
 
 }  // namespace
 
-IncrementalLp::IncrementalLp(const LpModel& base, SimplexOptions options)
-    : options_(options) {
+IncrementalLp::IncrementalLp(const LpModel& base) {
   num_structural_ = base.num_variables();
   lower_.reserve(num_structural_);
   upper_.reserve(num_structural_);
@@ -135,12 +134,9 @@ int IncrementalLp::AddRow(const LinearExpr& expr, RelOp op, double rhs) {
         << "AddRow may only reference base-model variables";
     rd.terms.emplace_back(var, coeff);
   }
-  // Same anti-degeneracy relaxation as SimplexSolver (see SimplexOptions):
-  // inequality ties in the ratio test are broken by a deterministic,
-  // row-dependent jitter that only ever enlarges the feasible region.
-  if (options_.degeneracy_jitter > 0 && op != RelOp::kEq) {
-    double phi = 0.5 + 0.5 * std::fmod(0.6180339887498949 * (id + 1), 1.0);
-    double jit = options_.degeneracy_jitter * phi;
+  // Same anti-degeneracy relaxation as SimplexSolver (kDegeneracyJitter).
+  if (op != RelOp::kEq) {
+    const double jit = DegeneracyJitter(id);
     rd.rhs += op == RelOp::kLe ? jit : -jit;
   }
   rows_.push_back(std::move(rd));
@@ -247,7 +243,7 @@ void IncrementalLp::PivotTab(int row, int col) {
     }
     if (odd_tail) t[ncols - 1] -= f * p[ncols - 1];
   };
-  const double drop = options_.pivot_tol;
+  const double drop = kPivotTol;
   const int m = static_cast<int>(tab_.size());
   for (int i = 0; i < m; ++i) {
     if (i == row) continue;
@@ -324,7 +320,7 @@ bool IncrementalLp::DualFeasible() const {
   // costs carry O(1e-8) elimination noise on big tableaus, and a sign wrong
   // by that little is cheaper to clean up with ordinary primal pivots than
   // by re-routing the whole solve through flips and repair.
-  const double tol = std::max(options_.cost_tol, 1e-7);
+  const double tol = std::max(kCostTol, 1e-7);
   const int ncols = static_cast<int>(status_.size());
   for (int j = 0; j < ncols; ++j) {
     if (status_[j] == kBasic || lower_[j] == upper_[j]) continue;
@@ -425,9 +421,7 @@ LpBasis IncrementalLp::ExportBasis() const {
 Status IncrementalLp::RunPrimal(const Deadline& deadline, int* iterations) {
   const int m = static_cast<int>(tab_.size());
   const int ncols = static_cast<int>(status_.size());
-  const int max_iter = options_.max_iterations > 0
-                           ? options_.max_iterations
-                           : 20 * (m + ncols) + 5000;
+  const int max_iter = SimplexIterationCap(m, ncols);
   bool bland = false;
   int stalled = 0;
   while (true) {
@@ -440,14 +434,14 @@ Status IncrementalLp::RunPrimal(const Deadline& deadline, int* iterations) {
     // Pricing: nonbasic columns that can move against their reduced cost.
     int q = -1;
     int dir = 0;
-    double best = options_.cost_tol;
+    double best = kCostTol;
     for (int j = 0; j < ncols; ++j) {
       if (status_[j] == kBasic || lower_[j] == upper_[j]) continue;
       const double dj = d_[j];
       int cand_dir = 0;
-      if (status_[j] != kAtUpper && dj < -options_.cost_tol) {
+      if (status_[j] != kAtUpper && dj < -kCostTol) {
         cand_dir = 1;
-      } else if (status_[j] != kAtLower && dj > options_.cost_tol) {
+      } else if (status_[j] != kAtLower && dj > kCostTol) {
         cand_dir = -1;
       } else {
         continue;
@@ -479,11 +473,11 @@ Status IncrementalLp::RunPrimal(const Deadline& deadline, int* iterations) {
       const int b = basic_[i];
       double ratio;
       bool to_upper;
-      if (a > options_.pivot_tol) {
+      if (a > kPivotTol) {
         if (!Finite(lower_[b])) continue;
         ratio = (beta_[i] - lower_[b]) / a;
         to_upper = false;
-      } else if (a < -options_.pivot_tol) {
+      } else if (a < -kPivotTol) {
         if (!Finite(upper_[b])) continue;
         ratio = (upper_[b] - beta_[i]) / (-a);
         to_upper = true;
@@ -532,7 +526,7 @@ Status IncrementalLp::RunPrimal(const Deadline& deadline, int* iterations) {
     const double improvement = -(dq * delta);
     if (improvement > 1e-12) {
       stalled = 0;
-    } else if (++stalled >= options_.degenerate_limit && !bland) {
+    } else if (++stalled >= kDegenerateLimit && !bland) {
       bland = true;  // anti-cycling
     }
   }
@@ -542,9 +536,7 @@ Status IncrementalLp::RunDual(const Deadline& deadline, int* iterations,
                               bool repair_mode) {
   const int m = static_cast<int>(tab_.size());
   const int ncols = static_cast<int>(status_.size());
-  const int max_iter = options_.max_iterations > 0
-                           ? options_.max_iterations
-                           : 20 * (m + ncols) + 5000;
+  const int max_iter = SimplexIterationCap(m, ncols);
   bool bland = false;
   int stalled = 0;
   double last_viol = kInf;
@@ -584,7 +576,7 @@ Status IncrementalLp::RunDual(const Deadline& deadline, int* iterations,
     if (r < 0) return Status::OK();  // primal feasible
     if (viol_sum < last_viol - 1e-15) {
       stalled = 0;
-    } else if (++stalled >= options_.degenerate_limit) {
+    } else if (++stalled >= kDegenerateLimit) {
       bland = true;
     }
     last_viol = viol_sum;
@@ -601,7 +593,7 @@ Status IncrementalLp::RunDual(const Deadline& deadline, int* iterations,
     for (int j = 0; j < ncols; ++j) {
       if (status_[j] == kBasic || lower_[j] == upper_[j]) continue;
       const double D = alpha[j];
-      if (std::abs(D) <= options_.pivot_tol) continue;
+      if (std::abs(D) <= kPivotTol) continue;
       bool eligible;
       if (status_[j] == kFreeAtZero) {
         eligible = true;
@@ -672,7 +664,7 @@ Status IncrementalLp::OptimizeFromCurrentBasis(const Deadline& deadline,
   //      leaving column, so the flip/drive pair iterates to a fixpoint
   //      (almost always one pass).
   bool beta_stale = false;
-  const double dual_tol = std::max(options_.cost_tol, 1e-7);
+  const double dual_tol = std::max(kCostTol, 1e-7);
   for (int pass = 0; pass < 4 && !DualFeasible(); ++pass) {
     bool changed = false;
     for (int j = 0; j < ncols; ++j) {
@@ -778,12 +770,7 @@ bool IncrementalLp::SolutionConsistent(
 Result<LpSolution> IncrementalLp::Solve(const LpBasis* warm,
                                         double deadline_seconds) {
   ++stats_.solves;
-  double budget = options_.deadline_seconds;
-  if (deadline_seconds > 0) {
-    budget = budget > 0 ? std::min(budget, deadline_seconds)
-                        : deadline_seconds;
-  }
-  Deadline deadline(budget);
+  Deadline deadline(deadline_seconds);
   int iterations = 0;
   const bool warm_start = factorized_;
   if (!factorized_) {

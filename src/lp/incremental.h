@@ -75,9 +75,9 @@ struct IncrementalLpStats {
 class IncrementalLp {
  public:
   /// Compiles `base`: its variables (with bounds), rows, and objective.
-  /// Row ids returned by AddRow continue the base row numbering.
-  explicit IncrementalLp(const LpModel& base,
-                         SimplexOptions options = SimplexOptions());
+  /// Row ids returned by AddRow continue the base row numbering. Pivoting
+  /// reads the same tolerances as SimplexSolver (lp/simplex.h).
+  explicit IncrementalLp(const LpModel& base);
 
   int num_variables() const { return num_structural_; }
   int num_rows() const { return static_cast<int>(rows_.size()); }
@@ -102,7 +102,7 @@ class IncrementalLp {
   /// Re-optimizes from the persisted state. `warm` (optional) steers the
   /// basis toward a snapshot exported from a related solve first; pass
   /// nullptr to reuse the current basis. `deadline_seconds` <= 0 means no
-  /// deadline (the options' own deadline, if any, still applies per call).
+  /// deadline.
   Result<LpSolution> Solve(const LpBasis* warm = nullptr,
                            double deadline_seconds = 0);
 
@@ -151,7 +151,6 @@ class IncrementalLp {
   /// Checks the solution against original rows/bounds (magnitude-aware).
   bool SolutionConsistent(const std::vector<double>& values) const;
 
-  SimplexOptions options_;
   bool verify_infeasible_ = true;
 
   int num_structural_ = 0;

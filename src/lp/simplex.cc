@@ -108,8 +108,7 @@ struct StandardForm {
 
 namespace {
 
-Result<StandardForm> BuildStandardForm(const LpModel& model,
-                                       const SimplexOptions& options) {
+Result<StandardForm> BuildStandardForm(const LpModel& model) {
   const int n_vars = model.num_variables();
 
   // 1. Map variables to non-negative standard-form columns.
@@ -190,19 +189,12 @@ Result<StandardForm> BuildStandardForm(const LpModel& model,
   // 2b. Anti-degeneracy jitter: relax every inequality by a tiny
   // deterministic, row-dependent amount. Ties in the ratio test are what
   // make Bland-mode stalls long; distinct right-hand sides break them.
-  // Relaxation only enlarges the feasible set (see SimplexOptions).
-  if (options.degeneracy_jitter > 0) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      double phi = 0.5 + 0.5 * std::fmod(0.6180339887498949 * (i + 1), 1.0);
-      // Absolute magnitude on purpose: callers like the OPT builder encode
-      // semantic thresholds (ε₁ − ε) that an rhs-proportional perturbation
-      // could swamp on large-magnitude rows.
-      double jit = options.degeneracy_jitter * phi;
-      if (rows[i].op == RelOp::kLe) {
-        rows[i].rhs += jit;
-      } else if (rows[i].op == RelOp::kGe) {
-        rows[i].rhs -= jit;
-      }
+  // Relaxation only enlarges the feasible set (see kDegeneracyJitter).
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].op == RelOp::kLe) {
+      rows[i].rhs += DegeneracyJitter(i);
+    } else if (rows[i].op == RelOp::kGe) {
+      rows[i].rhs -= DegeneracyJitter(i);
     }
   }
 
@@ -297,11 +289,8 @@ Result<StandardForm> BuildStandardForm(const LpModel& model,
 /// kResourceExhausted; optimality is reached when no reduced cost is
 /// sufficiently negative.
 Status RunSimplex(Tableau& tab, int obj_row, int usable_cols,
-                  const SimplexOptions& opt, int* iterations,
-                  const Deadline& deadline) {
-  int max_iter = opt.max_iterations > 0
-                     ? opt.max_iterations
-                     : 20 * (tab.rows() + tab.cols()) + 5000;
+                  int* iterations, const Deadline& deadline) {
+  const int max_iter = SimplexIterationCap(tab.rows(), tab.cols());
   bool bland = false;
   int stalled = 0;
   double last_obj = tab.Rhs(obj_row);
@@ -319,10 +308,10 @@ Status RunSimplex(Tableau& tab, int obj_row, int usable_cols,
     }
     // Pricing.
     int enter = -1;
-    double best = -opt.cost_tol;
+    double best = -kCostTol;
     for (int c = 0; c < usable_cols; ++c) {
       double rc = tab.At(obj_row, c);
-      if (rc < -opt.cost_tol) {
+      if (rc < -kCostTol) {
         if (bland) {
           enter = c;
           break;
@@ -341,7 +330,7 @@ Status RunSimplex(Tableau& tab, int obj_row, int usable_cols,
     for (int r = 0; r < tab.rows(); ++r) {
       if (!tab.IsActive(r)) continue;
       double a = tab.At(r, enter);
-      if (a <= opt.pivot_tol) continue;
+      if (a <= kPivotTol) continue;
       double ratio = tab.Rhs(r) / a;
       if (leave < 0 || ratio < best_ratio - 1e-12 ||
           (std::abs(ratio - best_ratio) <= 1e-12 && bland &&
@@ -352,7 +341,7 @@ Status RunSimplex(Tableau& tab, int obj_row, int usable_cols,
     }
     if (leave < 0) return Status::Unbounded("LP objective unbounded");
 
-    tab.Pivot(leave, enter, opt.pivot_tol);
+    tab.Pivot(leave, enter, kPivotTol);
     ++*iterations;
 
     // Invariant: Rhs(obj_row) == -z, so minimizing z drives the corner up.
@@ -360,7 +349,7 @@ Status RunSimplex(Tableau& tab, int obj_row, int usable_cols,
     if (obj > last_obj + 1e-12) {
       stalled = 0;
       last_obj = obj;
-    } else if (++stalled >= opt.degenerate_limit && !bland) {
+    } else if (++stalled >= kDegenerateLimit && !bland) {
       bland = true;  // anti-cycling
     }
   }
@@ -383,18 +372,18 @@ Result<LpSolution> SimplexSolver::Solve(const LpModel& model) const {
   }
 
   // One deadline across standard-form construction and both phases.
-  Deadline deadline(options_.deadline_seconds);
-  RH_ASSIGN_OR_RETURN(StandardForm sf, BuildStandardForm(model, options_));
+  Deadline deadline(deadline_seconds_);
+  RH_ASSIGN_OR_RETURN(StandardForm sf, BuildStandardForm(model));
   Tableau& tab = sf.tableau;
   int iterations = 0;
 
   // Phase 1 (only when artificials exist).
   if (sf.first_artificial < tab.cols()) {
     // Objective row invariant: Rhs(obj) == -objective value.
-    RH_RETURN_NOT_OK(RunSimplex(tab, tab.Phase1Row(), tab.cols(), options_,
+    RH_RETURN_NOT_OK(RunSimplex(tab, tab.Phase1Row(), tab.cols(),
                                 &iterations, deadline));
     double phase1_obj = -tab.Rhs(tab.Phase1Row());
-    if (phase1_obj > options_.phase1_tol) {
+    if (phase1_obj > kPhase1Tol) {
       return Status::Infeasible("phase-1 optimum > 0");
     }
     // Drive remaining artificials out of the basis.
@@ -402,13 +391,13 @@ Result<LpSolution> SimplexSolver::Solve(const LpModel& model) const {
       if (!tab.IsActive(r) || tab.BasisVar(r) < sf.first_artificial) continue;
       int pivot_col = -1;
       for (int c = 0; c < sf.first_artificial; ++c) {
-        if (std::abs(tab.At(r, c)) > options_.pivot_tol) {
+        if (std::abs(tab.At(r, c)) > kPivotTol) {
           pivot_col = c;
           break;
         }
       }
       if (pivot_col >= 0) {
-        tab.Pivot(r, pivot_col, options_.pivot_tol);
+        tab.Pivot(r, pivot_col, kPivotTol);
         ++iterations;
       } else {
         tab.Deactivate(r);  // redundant row
@@ -418,7 +407,7 @@ Result<LpSolution> SimplexSolver::Solve(const LpModel& model) const {
 
   // Phase 2: optimize the real objective over structural + slack columns.
   RH_RETURN_NOT_OK(RunSimplex(tab, tab.Phase2Row(), sf.first_artificial,
-                              options_, &iterations, deadline));
+                              &iterations, deadline));
 
   // Recover standard-form variable values.
   std::vector<double> std_values(tab.cols(), 0.0);

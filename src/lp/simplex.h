@@ -13,42 +13,60 @@
 /// system produces (thousands of rows/columns), not for sparse industrial
 /// LPs — see DESIGN.md "Substitutions".
 
+#include <cmath>
+#include <cstddef>
+
 #include "lp/model.h"
 #include "util/status.h"
 
 namespace rankhow {
 
-struct SimplexOptions {
-  /// Hard cap on pivots; 0 picks `20*(rows+cols) + 5000` automatically.
-  int max_iterations = 0;
-  /// Wall-clock cap in seconds (0 = none); checked every few hundred
-  /// pivots. Exceeding it returns kResourceExhausted.
-  double deadline_seconds = 0;
-  /// Entries smaller than this are treated as zero when pivoting.
-  double pivot_tol = 1e-9;
-  /// Reduced-cost optimality tolerance.
-  double cost_tol = 1e-9;
-  /// Phase-1 objective above this value declares infeasibility.
-  double phase1_tol = 1e-7;
-  /// Consecutive non-improving pivots before switching to Bland's rule.
-  int degenerate_limit = 128;
-  /// Anti-degeneracy: relax every inequality row by a deterministic jitter
-  /// of about this relative magnitude (0 disables). Relaxation only ever
-  /// ENLARGES the feasible region, so infeasibility verdicts stay exact and
-  /// minimization objectives remain valid lower bounds; returned points can
-  /// violate original rows by at most this amount (far below the post-solve
-  /// check tolerance).
-  double degeneracy_jitter = 1e-9;
-};
+/// Tolerances and limits of both simplex engines: SimplexSolver below and
+/// IncrementalLp (lp/incremental.h) read these same constants, so the two
+/// cannot drift apart.
+///
+/// Entries smaller than this are treated as zero when pivoting.
+inline constexpr double kPivotTol = 1e-9;
+/// Reduced-cost optimality tolerance.
+inline constexpr double kCostTol = 1e-9;
+/// Phase-1 objective above this value declares infeasibility.
+inline constexpr double kPhase1Tol = 1e-7;
+/// Consecutive non-improving pivots before switching to Bland's rule.
+inline constexpr int kDegenerateLimit = 128;
+/// Anti-degeneracy: every inequality row is relaxed by a deterministic,
+/// row-dependent jitter of about this absolute magnitude. Relaxation only
+/// ever ENLARGES the feasible region, so infeasibility verdicts stay exact
+/// and minimization objectives remain valid lower bounds; returned points
+/// can violate original rows by at most this amount (far below the
+/// post-solve check tolerance).
+inline constexpr double kDegeneracyJitter = 1e-9;
+
+/// Row `row`'s jitter: kDegeneracyJitter times a golden-ratio sequence in
+/// [0.5, 1). Absolute on purpose: the OPT builder encodes semantic
+/// thresholds (ε₁ − ε) that an rhs-proportional perturbation could swamp.
+inline double DegeneracyJitter(size_t row) {
+  const double phi =
+      0.5 + 0.5 * std::fmod(0.6180339887498949 * (row + 1), 1.0);
+  return kDegeneracyJitter * phi;
+}
+
+/// Hard cap on the pivots of one solve over a tableau with `rows` rows and
+/// `cols` columns, scaled with the tableau; a solve that reaches it returns
+/// kResourceExhausted.
+inline int SimplexIterationCap(int rows, int cols) {
+  return 20 * (rows + cols) + 5000;
+}
 
 /// Solves LpModels. Stateless and reusable; safe to share across solves.
 ///
-/// Error codes: kInfeasible, kUnbounded, kResourceExhausted (iteration cap),
-/// kInvalidArgument (malformed model).
+/// Error codes: kInfeasible, kUnbounded, kResourceExhausted (iteration cap
+/// or deadline), kInvalidArgument (malformed model).
 class SimplexSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = SimplexOptions())
-      : options_(options) {}
+  /// `deadline_seconds`: wall-clock cap per Solve (0 = none), checked every
+  /// pivot. Exceeding it returns kResourceExhausted.
+  explicit SimplexSolver(double deadline_seconds = 0)
+      : deadline_seconds_(deadline_seconds) {}
 
   Result<LpSolution> Solve(const LpModel& model) const;
 
@@ -57,7 +75,7 @@ class SimplexSolver {
   Result<std::vector<double>> FindFeasiblePoint(const LpModel& model) const;
 
  private:
-  SimplexOptions options_;
+  double deadline_seconds_;
 };
 
 }  // namespace rankhow

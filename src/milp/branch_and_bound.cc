@@ -6,12 +6,20 @@
 #include <memory>
 
 #include "core/search_coordinator.h"
+#include "lp/simplex.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace rankhow {
 
 namespace {
+
+/// Integrality tolerance for binaries: a value within this of 0 or 1 is not
+/// branched on.
+constexpr double kIntTol = 1e-6;
+/// The search terminates once incumbent − bound <= kAbsGap, and a node whose
+/// bound comes within kAbsGap of the incumbent is pruned.
+constexpr double kAbsGap = 1e-9;
 
 /// A subproblem: bound fixings applied on top of the root core LP, plus the
 /// set of indicator big-M rows its ancestors found binding (lazily grown —
@@ -214,24 +222,14 @@ void ProcessNode(SearchShared& sh, WorkerState& ws, Node node) {
         assemble_cold();
       }
     }
-    if (!node_warm) {
-      SimplexOptions lp_options = options.lp_options;
-      if (deadline.HasBudget()) {
-        lp_options.deadline_seconds =
-            lp_options.deadline_seconds > 0
-                ? std::min(lp_options.deadline_seconds, remaining)
-                : remaining;
-      }
-      SimplexSolver lp_solver(lp_options);
-      lp = lp_solver.Solve(relaxation);
-    }
+    if (!node_warm) lp = SimplexSolver(remaining).Solve(relaxation);
     if (!lp.ok()) {
       lp_failed = true;
       break;
     }
     ws.lp_iterations += lp->iterations;
     bound = std::max(bound, tighten(lp->objective));
-    if (bound >= sh.coordinator.best_objective() - options.abs_gap) {
+    if (bound >= sh.coordinator.best_objective() - kAbsGap) {
       pruned = true;  // subset bound already kills the node
       break;
     }
@@ -340,12 +338,12 @@ void ProcessNode(SearchShared& sh, WorkerState& ws, Node node) {
     if (candidate.has_value()) {
       sh.coordinator.OfferIncumbent(candidate->objective, candidate->values);
     }
-    if (bound >= sh.coordinator.best_objective() - options.abs_gap) return;
+    if (bound >= sh.coordinator.best_objective() - kAbsGap) return;
   }
 
   // Find the most fractional binary.
   int branch_var = -1;
-  double branch_score = options.int_tol;
+  double branch_score = kIntTol;
   for (int var : sh.binaries) {
     double v = lp->values[var];
     double frac = std::min(v, 1.0 - v);
@@ -360,7 +358,7 @@ void ProcessNode(SearchShared& sh, WorkerState& ws, Node node) {
     // relaxation, so this is a true incumbent. IsFeasible is a debug-only
     // invariant check.
     if (lp->objective <
-        sh.coordinator.best_objective() - options.abs_gap) {
+        sh.coordinator.best_objective() - kAbsGap) {
       RH_DCHECK(sh.model.IsFeasible(lp->values, 1e-4))
           << "integral LP point violates indicator semantics (bad big-M?)";
       sh.coordinator.OfferIncumbent(lp->objective, lp->values);
@@ -414,7 +412,7 @@ void RunWorker(SearchShared& sh, WorkerState& ws) {
     // and the active subset of materialized pool rows (deactivated rows
     // keep their tableau slot with a freed slack, so undo is O(1) per
     // row).
-    ws.inc = std::make_unique<IncrementalLp>(sh.core, options.lp_options);
+    ws.inc = std::make_unique<IncrementalLp>(sh.core);
     ws.pool_to_row.assign(sh.compiled.size(), -1);
   }
   while (!sh.coordinator.StopRequested()) {
@@ -436,7 +434,7 @@ void RunWorker(SearchShared& sh, WorkerState& ws) {
       break;
     }
     if (node->bound >=
-        sh.coordinator.best_objective() - options.abs_gap) {
+        sh.coordinator.best_objective() - kAbsGap) {
       // Best-first: this subtree cannot improve the incumbent, so discard
       // it. With a single worker the popped node IS the global frontier
       // minimum, so everything left is equally prunable and the search is
@@ -507,8 +505,8 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
                       options_,
                       heuristic_,
                       num_workers,
-                      SearchCoordinator(options_.time_limit_seconds,
-                                        options_.abs_gap, options_.cancel),
+                      SearchCoordinator(options_.time_limit_seconds, kAbsGap,
+                                        options_.cancel),
                       ShardedFrontier<Node, NodeOrder>(num_workers),
                       {},
                       {}};
@@ -595,7 +593,7 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
     global_bound = best.objective;
   }
   best.best_bound = std::min(global_bound, best.objective);
-  best.proven_optimal = global_bound >= best.objective - options_.abs_gap &&
+  best.proven_optimal = global_bound >= best.objective - kAbsGap &&
                         stats.numerical_drops == 0;
   return best;
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "lp/incremental.h"
-#include "lp/simplex.h"
 #include "milp/milp_model.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -45,13 +44,9 @@ struct BnbOptions {
   double time_limit_seconds = 0;
   /// Node cap; 0 = unlimited.
   int64_t max_nodes = 0;
-  /// Integrality tolerance for binaries.
-  double int_tol = 1e-6;
   /// When true, LP bounds are tightened to ceil(bound - tol). Position-based
   /// ranking error is integral, so RankHow always sets this.
   bool objective_is_integral = false;
-  /// Terminate once incumbent − bound <= abs_gap.
-  double abs_gap = 1e-9;
   /// Lazy row generation (default): node LPs start from the core LP and
   /// pull in indicator big-M rows, strengthening cuts, and binary upper
   /// bounds only when an LP iterate violates them. Disabling puts every row
@@ -91,7 +86,6 @@ struct BnbOptions {
   /// reporting the result as budget-limited. nullptr = never cancelled.
   /// The flag must outlive the solve.
   const std::atomic<bool>* cancel = nullptr;
-  SimplexOptions lp_options;
 };
 
 struct BnbStats {
@@ -140,7 +134,8 @@ struct BnbResult {
   double objective = kInfinity;
   /// Proven global lower bound (minimization).
   double best_bound = -kInfinity;
-  /// True iff objective == best_bound within abs_gap and search completed.
+  /// True iff objective == best_bound within kAbsGap (branch_and_bound.cc)
+  /// and the search completed.
   bool proven_optimal = false;
   BnbStats stats;
 };

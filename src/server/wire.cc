@@ -143,6 +143,12 @@ Result<WireResponseTag> ParseWireResponseTag(const std::string& response) {
   return tag;
 }
 
+bool WireResponseEditApplied(const std::string& response) {
+  return StartsWith(response, "ok ") ||
+         (StartsWith(response, "err ") &&
+          response.find(kSolveFailedAfterEdit) != std::string::npos);
+}
+
 std::string RewriteWireResponseLine(const std::string& response,
                                     int64_t line) {
   const size_t at = response.find(" line=");

@@ -139,6 +139,12 @@ struct WireResponseTag {
 /// treats that as a worker protocol violation.
 Result<WireResponseTag> ParseWireResponseTag(const std::string& response);
 
+/// True when `response` answers an edit that stuck on the worker: an "ok"
+/// ack, or an "err" whose solve failed after the edit applied
+/// (kSolveFailedAfterEdit). A proxy that replays a session's edits must
+/// replay both kinds.
+bool WireResponseEditApplied(const std::string& response);
+
 /// Rewrites the "line=N" token of a line-tagged response to `line`. A
 /// proxy counts wire lines per DOWNSTREAM stream, while each worker
 /// counts the lines the proxy sent IT — so every forwarded ack's line

@@ -46,7 +46,7 @@ class Deadline {
     return rem > 0 ? rem : 0;
   }
   /// Remaining budget under the solver convention "0 = no deadline" (what
-  /// SimplexOptions::deadline_seconds and IncrementalLp::Solve expect).
+  /// the SimplexSolver constructor and IncrementalLp::Solve expect).
   /// A LIVE deadline never maps to the 0 sentinel: an exactly-exhausted
   /// budget comes back as a microsecond, so the downstream solver returns
   /// kResourceExhausted promptly instead of running unlimited — the exact

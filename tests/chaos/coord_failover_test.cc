@@ -8,6 +8,9 @@
 //    replay of its acked edit script proves, the sibling session on the
 //    surviving worker is untouched, and the next `open` adopts the moved
 //    session with the ` recovered` ack suffix;
+//  * an edit that stuck behind a failed re-solve (acked `err ... solve
+//    failed after edit applied`) is replayed onto the replacement like an
+//    ok-acked one;
 //  * the no-replacement variant: killing the only worker answers every
 //    affected request with a clean `err` line — never a hang — and frees
 //    the session name.
@@ -397,6 +400,71 @@ TEST(CoordFailoverKillTest, SigkilledWorkerSessionFailsOverToIdenticalOptima) {
   const std::string stats = roundtrip("stats");
   EXPECT_EQ(ParseLongField(stats, "coord_up"), 1) << stats;
   EXPECT_NE(stats.find(":down"), std::string::npos) << stats;
+  EXPECT_EQ(roundtrip("quit"), "ok quit");
+}
+
+TEST(CoordFailoverKillTest, EditStuckBehindFailedSolveSurvivesKill) {
+  const std::string binary = CliBinaryOrEmpty();
+  if (binary.empty()) {
+    GTEST_SKIP() << "rankhow_cli not found (set RANKHOW_CLI)";
+  }
+  CoordKillRig rig;
+  ASSERT_TRUE(rig.ok);
+
+  WorkerProcess w1 = WorkerProcess::Spawn(binary, rig.WorkerArgs(),
+                                          rig.dir.File("w1.err"));
+  WorkerProcess w2 = WorkerProcess::Spawn(binary, rig.WorkerArgs(),
+                                          rig.dir.File("w2.err"));
+  if (!w1.WaitForPort() || !w2.WaitForPort()) {
+    GTEST_SKIP() << "workers failed to start: "
+                 << ReadWholeFile(w1.stderr_path)
+                 << ReadWholeFile(w2.stderr_path);
+  }
+
+  CoordHarness coord;
+  Status started =
+      coord.Start(w1.Spec() + "," + w2.Spec(), "alpha=" + w1.Spec());
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  LineClient client;
+  Status connected = client.Connect(coord.endpoint);
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  auto roundtrip = [&client](const std::string& request) -> std::string {
+    if (!client.SendLine(request)) return "<send failed>";
+    auto line = client.ReadLine();
+    return line.has_value() ? *line : "<no response>";
+  };
+
+  // The second floor makes P empty (0.7 + 0.7 > 1): its re-solve fails,
+  // but the edit stuck on w1 (PROTOCOL.md "Error semantics").
+  const std::string stuck =
+      "err s1 line=3 session script line 1: solve failed after edit applied";
+  EXPECT_EQ(roundtrip("open s1 alpha"), "ok open s1 alpha");
+  EXPECT_EQ(roundtrip("s1 min-weight A0 0.7").rfind("ok s1 line=2 ", 0), 0u);
+  const std::string failed = roundtrip("s1 min-weight A1 0.7");
+  EXPECT_EQ(failed.rfind(stuck, 0), 0u) << failed;
+
+  w1.Kill();
+  ASSERT_TRUE(WaitForCounter(
+      [&] { return coord.coord->counters().failover_sessions; }, 1))
+      << "failover never completed after SIGKILL";
+
+  // The replacement holds both floors, exactly as w1 or a journal-recovered
+  // w1 would: the solve still fails, and min_A1 exists to be dropped.
+  const std::string solved = roundtrip("s1 solve");
+  EXPECT_EQ(solved.rfind("err s1 line=4 session script line 1: solve failed "
+                         "after edit applied",
+                         0),
+            0u)
+      << solved;
+  const std::string dropped = roundtrip("s1 drop min_A1");
+  EXPECT_EQ(dropped.rfind("ok s1 line=5 ", 0), 0u) << dropped;
+
+  // Both edits replayed; the stuck one's failed re-solve on the
+  // replacement is not a replay error.
+  const CoordCounters counters = coord.coord->counters();
+  EXPECT_EQ(counters.replayed_edits, 2);
+  EXPECT_EQ(counters.replay_errors, 0);
   EXPECT_EQ(roundtrip("quit"), "ok quit");
 }
 

@@ -1,0 +1,154 @@
+// Golden work counts of the multi-start presolve, the spatial
+// branch-and-bound and Sym-GD. Small NBA-simulator instances, built the way
+// perfbench builds its solver workloads, run at one thread with no
+// wall-clock cap in the way, so every count is deterministic. The answers
+// and work counts must equal literals: presolve's error and evaluation
+// count, the spatial search's error, bound, boxes and incumbent updates,
+// and a Sym-GD descent's error, cell solves and summed nodes. The Sym-GD
+// instance has more than 3 000 ordinal-regression pairs, so its seed comes
+// from the subgradient path. A change that claims to leave every search
+// decision alone (constants moved, plumbing deleted) must pass this
+// unmodified; tests/milp/work_count_golden_test.cc does the same for the
+// indicator MILP.
+
+#include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "baselines/ordinal_regression.h"
+#include "core/presolve.h"
+#include "core/rankhow.h"
+#include "core/seeding.h"
+#include "core/sym_gd.h"
+#include "data/nba.h"
+#include "math/simplex_box.h"
+#include "ranking/ranking.h"
+
+namespace rankhow {
+namespace {
+
+/// The first `n` players of the paper-size simulated NBA table (generator
+/// seed 1), the first `m` attributes min-max normalized, ranked by MP×PER
+/// with the top `k` given.
+void MakeNbaInstance(int n, int m, int k, Dataset* data, Ranking* given) {
+  const NbaData nba = GenerateNba({.num_tuples = 22840, .seed = 1});
+  std::vector<int> rows(n);
+  for (int i = 0; i < n; ++i) rows[i] = i;
+  std::vector<int> attrs(m);
+  for (int a = 0; a < m; ++a) attrs[a] = a;
+  *data = nba.table.SelectTuples(rows).SelectAttributes(attrs);
+  data->NormalizeMinMax();
+  std::vector<double> score(n);
+  for (int i = 0; i < n; ++i) score[i] = nba.mp_times_per[i];
+  *given = Ranking::FromScores(score, k, 0.0);
+}
+
+/// perfbench's solver configuration, serial, with the presolve budget
+/// lifted: no wall-clock cap may cut the presolve short (sanitizer builds
+/// run this suite several times slower), or the search would start from a
+/// different incumbent.
+RankHowOptions GoldenOptions() {
+  RankHowOptions options;
+  options.eps.tie_eps = 5e-5;
+  options.eps.eps1 = 1e-4;
+  options.eps.eps2 = 0.0;
+  options.num_threads = 1;
+  options.presolve.time_budget_seconds = 3600;
+  return options;
+}
+
+void ExpectPresolveGolden(int n, int m, int k, long error, int evaluated) {
+  Dataset data;
+  Ranking given;
+  MakeNbaInstance(n, m, k, &data, &given);
+  const RankHowOptions options = GoldenOptions();
+  OptProblem problem;
+  problem.data = &data;
+  problem.given = &given;
+  problem.eps = options.eps;
+  Result<PresolveResult> result =
+      PresolveIncumbent(problem, WeightBox::FullSimplex(m), options.presolve);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->error, error);
+  EXPECT_EQ(result->evaluated, evaluated);
+}
+
+struct SpatialGolden {
+  long error;
+  int64_t boxes;
+  int64_t incumbent_updates;
+};
+
+void ExpectSpatialGolden(int n, int m, int k, const SpatialGolden& golden) {
+  Dataset data;
+  Ranking given;
+  MakeNbaInstance(n, m, k, &data, &given);
+  RankHowOptions options = GoldenOptions();
+  options.strategy = SolveStrategy::kSpatial;
+  RankHow solver(data, given, options);
+  Result<RankHowResult> result = solver.Solve();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->proven_optimal);
+  EXPECT_EQ(result->strategy_used, SolveStrategy::kSpatial);
+  EXPECT_EQ(result->error, golden.error);
+  EXPECT_EQ(result->bound, golden.error);
+  EXPECT_EQ(result->stats.nodes_explored, golden.boxes);
+  EXPECT_EQ(result->stats.incumbent_updates, golden.incumbent_updates);
+}
+
+struct SymGdGolden {
+  long error;
+  int iterations;
+  long total_nodes;
+};
+
+/// Cells solve the indicator MILP, as perfbench's symgd_full does at the
+/// paper's n.
+void ExpectSymGdGolden(int n, int m, int k, double cell,
+                       const SymGdGolden& golden) {
+  Dataset data;
+  Ranking given;
+  MakeNbaInstance(n, m, k, &data, &given);
+  SymGdOptions options;
+  options.cell_size = cell;
+  options.solver = GoldenOptions();
+  options.solver.strategy = SolveStrategy::kIndicatorMilp;
+  OrdinalRegressionOptions fit_options;
+  fit_options.margin = options.solver.eps.eps1;
+  Result<OrdinalRegressionFit> fit =
+      FitOrdinalRegression(data, given, fit_options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  ASSERT_FALSE(fit->exact_lp) << "the seed must take the subgradient path";
+  Result<std::vector<double>> seed =
+      OrdinalRegressionSeed(data, given, options.solver.eps.eps1);
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+  Result<SymGdResult> result = SymGd(data, given, options).Run(*seed);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->error, golden.error);
+  EXPECT_EQ(result->iterations, golden.iterations);
+  EXPECT_EQ(result->total_nodes, golden.total_nodes);
+}
+
+TEST(CoreWorkCountGoldenTest, PresolveNba300Players5AttributesTop6) {
+  ExpectPresolveGolden(300, 5, 6, 17, 2197);
+}
+
+TEST(CoreWorkCountGoldenTest, PresolveNba120Players8AttributesTop10) {
+  ExpectPresolveGolden(120, 8, 10, 24, 2560);
+}
+
+TEST(CoreWorkCountGoldenTest, SpatialNba100Players5AttributesTop6) {
+  ExpectSpatialGolden(100, 5, 6, {5, 2239, 1});
+}
+
+TEST(CoreWorkCountGoldenTest, SpatialNba100Players4AttributesTop10) {
+  ExpectSpatialGolden(100, 4, 10, {23, 1177, 2});
+}
+
+TEST(CoreWorkCountGoldenTest, SymGdSubgradientSeedNba3100Players5Top10) {
+  ExpectSymGdGolden(3100, 5, 10, 0.02, {160, 8, 690});
+}
+
+}  // namespace
+}  // namespace rankhow

@@ -19,6 +19,7 @@
 //    budget-limited with its warm incumbent, siblings unaffected.
 
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -403,6 +404,16 @@ TEST(SessionServerTest, BadCommandsErrorAndLeaveTheSessionIntact) {
       // Unknown objective.
       {Cmd(SessionCommand::Kind::kObjective, "chaos", 0, 10),
        StatusCode::kInvalidArgument},
+      // Non-finite values parse as doubles but fail validation: an
+      // appended nan/inf tuple would break every later solve, and no edit
+      // removes a tuple.
+      {Cmd(SessionCommand::Kind::kAppend, "nan 0.5 0.5", 0, 11),
+       StatusCode::kInvalidArgument},
+      {Cmd(SessionCommand::Kind::kAppend, "0.5 inf 0.5", 0, 12),
+       StatusCode::kInvalidArgument},
+      {Cmd(SessionCommand::Kind::kEps1, "",
+           std::numeric_limits<double>::infinity(), 13),
+       StatusCode::kInvalidArgument},
   };
   for (const BadCase& bad : cases) {
     run(bad.cmd);
@@ -413,7 +424,7 @@ TEST(SessionServerTest, BadCommandsErrorAndLeaveTheSessionIntact) {
   }
 
   // The session still proves the baseline problem, unchanged.
-  run(Cmd(SessionCommand::Kind::kSolve, "", 0, 11));
+  run(Cmd(SessionCommand::Kind::kSolve, "", 0, 14));
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   EXPECT_TRUE(last->result.proven_optimal);
   EXPECT_EQ(last->result.error, baseline_error)
@@ -421,9 +432,9 @@ TEST(SessionServerTest, BadCommandsErrorAndLeaveTheSessionIntact) {
 
   // Exactly one min_A0 exists (the duplicate never stacked): dropping it
   // once succeeds, dropping again is kNotFound.
-  run(Cmd(SessionCommand::Kind::kDrop, "min_A0", 0, 12));
+  run(Cmd(SessionCommand::Kind::kDrop, "min_A0", 0, 15));
   EXPECT_TRUE(last.ok()) << last.status().ToString();
-  run(Cmd(SessionCommand::Kind::kDrop, "min_A0", 0, 13));
+  run(Cmd(SessionCommand::Kind::kDrop, "min_A0", 0, 16));
   EXPECT_EQ(last.status().code(), StatusCode::kNotFound);
 }
 

@@ -428,7 +428,8 @@ int main(int argc, char** argv) {
   options.time_limit_seconds = time_limit;
   options.num_threads = *threads;
   if (!options.eps.Valid()) {
-    std::cerr << "error: epsilons must satisfy eps2 <= eps < eps1\n";
+    std::cerr << "error: epsilons must be finite and satisfy eps2 <= eps < "
+                 "eps1\n";
     return 1;
   }
 
