@@ -11,8 +11,9 @@
 #   * asan  — `ctest --preset asan` runs the full suite, including the chaos
 #     tests that SIGKILL a real --listen server mid-session and the
 #     coordinator failover tests that kill real workers;
-#   * ubsan — the batched scoring kernels and the LP engine with the MILP
-#     search over it (`ctest -L 'kernels|lp'`).
+#   * ubsan — the batched scoring kernels with the ranking and baseline
+#     code built on them, and the LP engine with the MILP search over it
+#     (`ctest -L 'kernels|lp'`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,10 +50,11 @@ ctest --preset asan
 
 echo "== ubsan: UB-sanitized build + ctest -L 'kernels|lp' =="
 # The batched scoring kernels (src/data/kernels.cc) lean on blocked FP
-# accumulation and branch-free integer masks, and the incremental LP's
-# row-sparse elimination indexes the tableau through a gathered list of
-# column pairs; the ubsan preset runs the kernel, LP and MILP suites to
-# catch signed overflow / bad shifts / invalid casts that -Wall cannot see.
+# accumulation, branch-free integer masks and slot arithmetic, and the
+# incremental LP's row-sparse elimination indexes the tableau through a
+# gathered list of column pairs; the ubsan preset runs the data, ranking,
+# baselines, LP and MILP suites to catch signed overflow / bad shifts /
+# invalid casts that -Wall cannot see.
 cmake --preset ubsan
 cmake --build --preset ubsan -j
 ctest --preset ubsan

@@ -167,6 +167,16 @@ OrdinalRegressionFit SolveWithSubgradient(
     const std::vector<OrderedPair>& pairs,
     const OrdinalRegressionOptions& options) {
   const int m = data.num_attributes();
+  // Each pair's difference vector and margin, once per fit: pair-major rows
+  // diffs[p*m + a] = A_a(above) − A_a(below), read contiguously by every
+  // iteration below.
+  const size_t num_pairs = pairs.size();
+  std::vector<double> diffs(num_pairs * m);
+  std::vector<double> margins(num_pairs);
+  for (size_t p = 0; p < num_pairs; ++p) {
+    data.DiffVectorInto(pairs[p].above, pairs[p].below, diffs.data() + p * m);
+    margins[p] = PairMargin(pairs[p], given, options);
+  }
   std::vector<double> w(m, 1.0 / m);
   std::vector<double> best = w;
   double best_loss = kInfinity;
@@ -175,30 +185,22 @@ OrdinalRegressionFit SolveWithSubgradient(
                            std::vector<double>* grad) {
     grad->assign(m, 0.0);
     double loss = 0;
-    for (const OrderedPair& pair : pairs) {
+    for (size_t p = 0; p < num_pairs; ++p) {
+      const double* d = diffs.data() + p * m;
       double diff = 0;
-      for (int a = 0; a < m; ++a) {
-        diff += weights[a] *
-                (data.value(pair.above, a) - data.value(pair.below, a));
-      }
-      if (pair.tie) {
+      for (int a = 0; a < m; ++a) diff += weights[a] * d[a];
+      if (pairs[p].tie) {
         double excess = std::abs(diff) - kTieBand;
         if (excess > 0) {
           loss += excess;
           double sign = diff > 0 ? 1.0 : -1.0;
-          for (int a = 0; a < m; ++a) {
-            (*grad)[a] += sign * (data.value(pair.above, a) -
-                                  data.value(pair.below, a));
-          }
+          for (int a = 0; a < m; ++a) (*grad)[a] += sign * d[a];
         }
       } else {
-        double short_by = PairMargin(pair, given, options) - diff;
+        double short_by = margins[p] - diff;
         if (short_by > 0) {
           loss += short_by;
-          for (int a = 0; a < m; ++a) {
-            (*grad)[a] -= data.value(pair.above, a) -
-                          data.value(pair.below, a);
-          }
+          for (int a = 0; a < m; ++a) (*grad)[a] -= d[a];
         }
       }
     }

@@ -24,8 +24,8 @@ std::optional<long> EvaluateTrueError(const OptProblem& problem,
   // This is the evaluation choke point of the whole solver — presolve,
   // incumbent revalidation, spatial B&B offers, and SYM-GD cell sweeps all
   // score through here, often millions of times. Batched kernel scoring
-  // into thread-local buffers + one sort per weight vector keeps the steady
-  // state allocation-free.
+  // and one rank-counting pass (O(n log k) for k placed tuples) into
+  // thread-local buffers keep the steady state allocation-free.
   static thread_local std::vector<double> scores;
   scores.resize(data.num_tuples());
   kernels::BatchScores(data, w, scores.data());
@@ -33,19 +33,27 @@ std::optional<long> EvaluateTrueError(const OptProblem& problem,
     if (scores[oc.above] - scores[oc.below] <= tie_eps) return std::nullopt;
   }
 
-  static thread_local std::vector<double> sorted_desc;
-  SortScoresDescending(scores, &sorted_desc);
-
-  // Position constraints may cover unranked tuples (their positions are
-  // checked but contribute no objective term — Eq. (2) only sums over
-  // R_π(k)).
+  // The one counting pass places the ranked tuples, then the
+  // position-constrained ones. Position constraints may cover unranked
+  // tuples (their positions are checked but contribute no objective term —
+  // Eq. (2) only sums over R_π(k)).
+  const std::vector<int>& ranked = given.ranked_tuples();
+  static thread_local std::vector<int> tuples;
+  tuples.assign(ranked.begin(), ranked.end());
   for (const PositionConstraint& pc : problem.position_constraints) {
-    const int rho =
-        ScoreRankPositionFromSorted(sorted_desc, scores[pc.tuple], tie_eps);
+    tuples.push_back(pc.tuple);
+  }
+  static thread_local std::vector<int> positions;
+  ScoreRankPositionsOf(scores, tuples, tie_eps, &positions);
+  for (size_t i = 0; i < problem.position_constraints.size(); ++i) {
+    const PositionConstraint& pc = problem.position_constraints[i];
+    const int rho = positions[ranked.size() + i];
     if (rho < pc.min_position || rho > pc.max_position) return std::nullopt;
   }
-  return ObjectiveOfScoresSorted(data, given, scores, sorted_desc, tie_eps,
-                                 problem.objective);
+  if (problem.objective.kind == ObjectiveKind::kInversions) {
+    return ObjectiveOfScores(data, given, scores, tie_eps, problem.objective);
+  }
+  return PositionObjectiveOf(given, positions.data(), problem.objective);
 }
 
 namespace {

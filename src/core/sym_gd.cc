@@ -40,6 +40,8 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
         seed_sum));
   }
   constexpr int kMaxIterations = 1000;  // safety cap on descent steps
+  // Largest cell the adaptive variant grows to: cells must stay below 2.
+  constexpr double kMaxCellSize = 1.999;
   Deadline deadline(options_.time_budget_seconds);
   WallTimer timer;
   // The portfolio's kill switch reads like an expired budget: the descent
@@ -101,7 +103,11 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
         result.iterations >= kMaxIterations || current_error == 0) {
       break;
     }
-    cell = std::min(cell * 2, 1.999);  // Algorithm 2, line 6
+    // Algorithm 2, line 6. A cell that cannot grow would re-solve the same
+    // box around the same iterate: the descent is over.
+    const double grown = std::min(cell * 2, kMaxCellSize);
+    if (!(grown > cell)) break;
+    cell = grown;
   }
 
   result.final_cell_size = cell;

@@ -8,7 +8,8 @@
 /// fixed by interval analysis inside a small cell), recenter, and repeat
 /// until the error stops improving (Algorithm 1). The adaptive variant
 /// doubles the cell size whenever the search stalls in a local optimum,
-/// until the time budget runs out (Algorithm 2).
+/// until the time budget runs out (Algorithm 2) or a stall at the largest
+/// cell, 1.999, leaves nothing to grow.
 ///
 /// SYM-GD is a local search, so the seed decides which basin it descends
 /// into (Section IV's seed-strategy discussion). `RunPortfolio` buys

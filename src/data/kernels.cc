@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -168,6 +169,48 @@ void DominanceScan(const Dataset& data, int pivot, unsigned char* out,
       }
     }
   });
+}
+
+void CountScoresAbove(const double* scores, int n, const double* thresholds,
+                      int k, CountAboveScratch* scratch, int* counts) {
+  if (k == 0) return;
+  std::vector<int>& order = scratch->order;
+  order.resize(k);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [thresholds](int a, int b) {
+    return thresholds[a] < thresholds[b];
+  });
+  std::vector<double>& sorted = scratch->sorted;
+  sorted.resize(k);
+  for (int j = 0; j < k; ++j) sorted[j] = thresholds[order[j]];
+
+  // slots[j] = #{s : exactly j thresholds lie strictly below scores[s]}.
+  // A score beats sorted[j] iff its slot exceeds j. Slot 0 (beats nothing)
+  // needs no tally, and it is where most scores land when the thresholds
+  // sit at the top of the ranking, so one well-predicted compare skips it.
+  std::vector<int>& slots = scratch->slots;
+  slots.assign(k + 1, 0);
+  const double* first = sorted.data();
+  const double lowest = first[0];
+  for (int s = 0; s < n; ++s) {
+    const double x = scores[s];
+    if (!(x > lowest)) continue;
+    // Branch-free lower_bound: the slot always lies in
+    // [base − first, base − first + len], and len halves each step.
+    const double* base = first;
+    int len = k;
+    while (len > 1) {
+      const int half = len / 2;
+      base = base[half] < x ? base + half : base;
+      len -= half;
+    }
+    ++slots[(base - first) + (*base < x)];
+  }
+  int beating = 0;
+  for (int j = k - 1; j >= 0; --j) {
+    beating += slots[j + 1];
+    counts[order[j]] = beating;
+  }
 }
 
 void FusedExactRankPositions(const Dataset& data,

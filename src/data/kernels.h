@@ -3,9 +3,12 @@
 
 /// \file kernels.h
 /// Batched scoring kernels over the contiguous per-attribute columns of a
-/// Dataset — the allocation-free hot-path layer under ranking verification,
-/// error-measure evaluation, indicator fixing, presolve revalidation and the
-/// SYM-GD cell sweeps (see DESIGN.md "Dataset layout & kernel contracts").
+/// Dataset, and rank counting over the scores they produce — the
+/// allocation-free hot-path layer under ranking verification, the
+/// double-precision objective (presolve, incumbent revalidation, spatial
+/// offers, the MILP primal heuristic, the SYM-GD cell sweeps), error-measure
+/// evaluation and indicator fixing (see DESIGN.md "Dataset layout & kernel
+/// contracts").
 ///
 /// Design rules, shared by every kernel here:
 ///  * Caller-owned output buffers; no kernel allocates on the steady path
@@ -74,6 +77,24 @@ void DiffRangeAgainst(const Dataset& data, int pivot, double* lo, double* hi,
 /// out[pivot] is 0 by definition.
 void DominanceScan(const Dataset& data, int pivot, unsigned char* out,
                    ThreadPool* pool = nullptr);
+
+/// Reusable buffers for CountScoresAbove; capacity persists across calls so
+/// the steady state allocates nothing.
+struct CountAboveScratch {
+  std::vector<int> order;
+  std::vector<double> sorted;
+  std::vector<int> slots;
+};
+
+/// counts[i] = #{s : scores[s] > thresholds[i]} for every i in [0, k):
+/// exact integers, as a sort of the scores plus one lower_bound per
+/// threshold would give, in O(n log k + k log k). The k thresholds are
+/// sorted once; each score finds its slot among them with a branch-free
+/// binary search, and suffix sums over the slot histogram give every count.
+/// Duplicate thresholds get the same count and ±0.0 compare equal, exactly
+/// as `>` does; n and k may be 0. Inputs must not be NaN.
+void CountScoresAbove(const double* scores, int n, const double* thresholds,
+                      int k, CountAboveScratch* scratch, int* counts);
 
 /// Exact sign decision for a pair inside the floating-point uncertainty
 /// band: must return the sign of f(s) − f(r) − tie_eps computed exactly

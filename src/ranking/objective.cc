@@ -36,19 +36,6 @@ RankingObjectiveSpec RankingObjectiveSpec::Inversions() {
 long ObjectiveOfScores(const Dataset& data, const Ranking& given,
                        const std::vector<double>& scores, double tie_eps,
                        const RankingObjectiveSpec& spec) {
-  if (spec.kind == ObjectiveKind::kInversions) {
-    return ObjectiveOfScoresSorted(data, given, scores, {}, tie_eps, spec);
-  }
-  std::vector<double> sorted_desc;
-  SortScoresDescending(scores, &sorted_desc);
-  return ObjectiveOfScoresSorted(data, given, scores, sorted_desc, tie_eps,
-                                 spec);
-}
-
-long ObjectiveOfScoresSorted(const Dataset& data, const Ranking& given,
-                             const std::vector<double>& scores,
-                             const std::vector<double>& sorted_desc,
-                             double tie_eps, const RankingObjectiveSpec& spec) {
   RH_CHECK(static_cast<int>(scores.size()) == data.num_tuples());
   const std::vector<int>& ranked = given.ranked_tuples();
   if (spec.kind == ObjectiveKind::kInversions) {
@@ -67,13 +54,20 @@ long ObjectiveOfScoresSorted(const Dataset& data, const Ranking& given,
     }
     return inversions;
   }
-  RH_CHECK(sorted_desc.size() == scores.size());
+  static thread_local std::vector<int> positions;
+  ScoreRankPositionsOf(scores, ranked, tie_eps, &positions);
+  return PositionObjectiveOf(given, positions.data(), spec);
+}
+
+long PositionObjectiveOf(const Ranking& given, const int* positions,
+                         const RankingObjectiveSpec& spec) {
+  RH_CHECK(spec.kind != ObjectiveKind::kInversions);
+  const std::vector<int>& ranked = given.ranked_tuples();
   long total = 0;
-  for (int t : ranked) {
-    int given_pos = given.position(t);
-    int rho = ScoreRankPositionFromSorted(sorted_desc, scores[t], tie_eps);
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    const int given_pos = given.position(ranked[i]);
     total += spec.PenaltyAt(given_pos) *
-             std::labs(static_cast<long>(rho) - given_pos);
+             std::labs(static_cast<long>(positions[i]) - given_pos);
   }
   return total;
 }

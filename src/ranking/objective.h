@@ -69,14 +69,12 @@ long ObjectiveOfScores(const Dataset& data, const Ranking& given,
                        const std::vector<double>& scores, double tie_eps,
                        const RankingObjectiveSpec& spec);
 
-/// Same, additionally reusing a precomputed descending copy of `scores`
-/// (from SortScoresDescending) so the O(n log n) sort is paid once per
-/// weight vector even when positions are needed for constraints AND the
-/// objective. `sorted_desc` is ignored for the inversions objective.
-long ObjectiveOfScoresSorted(const Dataset& data, const Ranking& given,
-                             const std::vector<double>& scores,
-                             const std::vector<double>& sorted_desc,
-                             double tie_eps, const RankingObjectiveSpec& spec);
+/// The position objectives (kPositionError, kWeightedPositionError) from
+/// the ρ positions of given.ranked_tuples(), `positions[i]` being that of
+/// the i-th: Σ_r penalty(π(r))·|ρ(r) − π(r)|. For callers that already
+/// counted the positions (ScoreRankPositionsOf) next to others they need.
+long PositionObjectiveOf(const Ranking& given, const int* positions,
+                         const RankingObjectiveSpec& spec);
 
 }  // namespace rankhow
 

@@ -4,31 +4,10 @@
 #include <cmath>
 #include <numeric>
 
+#include "data/kernels.h"
 #include "util/logging.h"
 
 namespace rankhow {
-
-namespace {
-
-/// Sorted (descending) copy of scores.
-std::vector<double> SortedDescending(const std::vector<double>& scores) {
-  std::vector<double> sorted = scores;
-  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  return sorted;
-}
-
-/// #{s : scores[s] > value + eps} via binary search on the descending array.
-int CountBeating(const std::vector<double>& sorted_desc, double value,
-                 double eps) {
-  // With comparator `>` on a descending array, lower_bound yields the first
-  // index where sorted[i] <= value + eps; everything before it beats value
-  // strictly.
-  auto it = std::lower_bound(sorted_desc.begin(), sorted_desc.end(),
-                             value + eps, std::greater<double>());
-  return static_cast<int>(it - sorted_desc.begin());
-}
-
-}  // namespace
 
 std::vector<int> ScoreRankPositions(const std::vector<double>& scores,
                                     double tie_eps) {
@@ -50,50 +29,38 @@ std::vector<int> ScoreRankPositions(const std::vector<double>& scores,
   return positions;
 }
 
+void ScoreRankPositionsOf(const std::vector<double>& scores,
+                          const std::vector<int>& tuples, double tie_eps,
+                          std::vector<int>* positions_out) {
+  const int k = static_cast<int>(tuples.size());
+  static thread_local std::vector<double> thresholds;
+  static thread_local kernels::CountAboveScratch scratch;
+  thresholds.resize(k);
+  for (int i = 0; i < k; ++i) thresholds[i] = scores[tuples[i]] + tie_eps;
+  positions_out->resize(k);
+  kernels::CountScoresAbove(scores.data(), static_cast<int>(scores.size()),
+                            thresholds.data(), k, &scratch,
+                            positions_out->data());
+  for (int& position : *positions_out) ++position;
+}
+
 std::vector<int> ScoreRankPositionsOf(const std::vector<double>& scores,
                                       const std::vector<int>& tuples,
                                       double tie_eps) {
-  std::vector<double> sorted = SortedDescending(scores);
   std::vector<int> positions;
-  ScoreRankPositionsOfSorted(scores, sorted, tuples, tie_eps, &positions);
+  ScoreRankPositionsOf(scores, tuples, tie_eps, &positions);
   return positions;
-}
-
-void SortScoresDescending(const std::vector<double>& scores,
-                          std::vector<double>* sorted_desc) {
-  sorted_desc->assign(scores.begin(), scores.end());
-  std::sort(sorted_desc->begin(), sorted_desc->end(), std::greater<double>());
-}
-
-int ScoreRankPositionFromSorted(const std::vector<double>& sorted_desc,
-                                double value, double tie_eps) {
-  return CountBeating(sorted_desc, value, tie_eps) + 1;
-}
-
-void ScoreRankPositionsOfSorted(const std::vector<double>& scores,
-                                const std::vector<double>& sorted_desc,
-                                const std::vector<int>& tuples, double tie_eps,
-                                std::vector<int>* positions_out) {
-  positions_out->resize(tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    (*positions_out)[i] =
-        CountBeating(sorted_desc, scores[tuples[i]], tie_eps) + 1;
-  }
 }
 
 long PositionErrorFromScores(const std::vector<double>& scores,
                              const Ranking& given, double tie_eps) {
-  std::vector<double> sorted = SortedDescending(scores);
-  return PositionErrorFromSorted(scores, sorted, given, tie_eps);
-}
-
-long PositionErrorFromSorted(const std::vector<double>& scores,
-                             const std::vector<double>& sorted_desc,
-                             const Ranking& given, double tie_eps) {
+  const std::vector<int>& ranked = given.ranked_tuples();
+  static thread_local std::vector<int> positions;
+  ScoreRankPositionsOf(scores, ranked, tie_eps, &positions);
   long error = 0;
-  for (int t : given.ranked_tuples()) {
-    int rho = CountBeating(sorted_desc, scores[t], tie_eps) + 1;
-    error += std::labs(static_cast<long>(rho) - given.position(t));
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    error += std::labs(static_cast<long>(positions[i]) -
+                       given.position(ranked[i]));
   }
   return error;
 }
@@ -107,12 +74,13 @@ long PositionError(const Dataset& data, const Ranking& given,
 std::vector<long> PositionErrorBreakdown(const std::vector<double>& scores,
                                          const Ranking& given,
                                          double tie_eps) {
-  std::vector<double> sorted = SortedDescending(scores);
-  std::vector<long> breakdown;
-  breakdown.reserve(given.ranked_tuples().size());
-  for (int t : given.ranked_tuples()) {
-    int rho = CountBeating(sorted, scores[t], tie_eps) + 1;
-    breakdown.push_back(std::labs(static_cast<long>(rho) - given.position(t)));
+  const std::vector<int>& ranked = given.ranked_tuples();
+  const std::vector<int> positions =
+      ScoreRankPositionsOf(scores, ranked, tie_eps);
+  std::vector<long> breakdown(ranked.size());
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    breakdown[i] = std::labs(static_cast<long>(positions[i]) -
+                             given.position(ranked[i]));
   }
   return breakdown;
 }

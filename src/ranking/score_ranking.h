@@ -19,34 +19,20 @@ namespace rankhow {
 std::vector<int> ScoreRankPositions(const std::vector<double>& scores,
                                     double tie_eps);
 
-/// Positions of selected tuples only (O(n log n) + O(|tuples| log n)).
+/// Positions of selected tuples only, ρ(t) = 1 + #{s : f(s) > f(t) + ε},
+/// written into a caller-owned buffer (resized to tuples.size()). One
+/// kernels::CountScoresAbove pass counts all of them in
+/// O(n log k + k log k) for k selected tuples, allocation-free once the
+/// buffer has grown. This sum form can differ from the difference form
+/// above by a rounding step when f(s) − f(t) sits at ε.
+void ScoreRankPositionsOf(const std::vector<double>& scores,
+                          const std::vector<int>& tuples, double tie_eps,
+                          std::vector<int>* positions_out);
+
+/// Same, returned by value.
 std::vector<int> ScoreRankPositionsOf(const std::vector<double>& scores,
                                       const std::vector<int>& tuples,
                                       double tie_eps);
-
-/// Fills `sorted_desc` with a descending copy of `scores`, reusing the
-/// buffer's capacity. The sort is the O(n log n) part of every position
-/// query below; hot evaluators (presolve, SYM-GD sweeps) pay it once per
-/// weight vector and reuse the result.
-void SortScoresDescending(const std::vector<double>& scores,
-                          std::vector<double>* sorted_desc);
-
-/// ρ position of one score value against a precomputed descending array:
-/// 1 + #{s : sorted[s] > value + eps}, by binary search.
-int ScoreRankPositionFromSorted(const std::vector<double>& sorted_desc,
-                                double value, double tie_eps);
-
-/// Positions of selected tuples against a precomputed descending array,
-/// written into a caller-owned buffer (resized to tuples.size()).
-void ScoreRankPositionsOfSorted(const std::vector<double>& scores,
-                                const std::vector<double>& sorted_desc,
-                                const std::vector<int>& tuples, double tie_eps,
-                                std::vector<int>* positions_out);
-
-/// Position-based error against a precomputed descending array.
-long PositionErrorFromSorted(const std::vector<double>& scores,
-                             const std::vector<double>& sorted_desc,
-                             const Ranking& given, double tie_eps);
 
 /// Position-based error (Definition 3) of the score-based ranking induced by
 /// `weights` against the given ranking π: Σ_{r ranked} |ρ_W(r) − π(r)|.

@@ -112,6 +112,51 @@ TEST(SymGdTest, AdaptiveGrowsCellWhenStuck) {
   }
 }
 
+/// Anti-correlated attributes ranked by a degree-8 power sum: no linear
+/// function reproduces the top 5, so an adaptive descent from
+/// RandomSeed(3, 5) stalls above error 0.
+Instance StuckInstance() {
+  SyntheticSpec spec;
+  spec.num_tuples = 20;
+  spec.num_attributes = 3;
+  spec.distribution = SyntheticDistribution::kAntiCorrelated;
+  spec.seed = 2;
+  Dataset data = GenerateSynthetic(spec);
+  Ranking given = PowerSumRanking(data, 8, 5);
+  return Instance{std::move(data), std::move(given)};
+}
+
+TEST(SymGdTest, AdaptiveStopsOnceTheCellCannotGrow) {
+  // A descent stuck above error 0 doubles its cell up to the 1.999 cap.
+  // Once there, another round would re-solve the same cell around the same
+  // iterate, so the run must end rather than spin to the 1 000-step safety
+  // cap (no time budget bounds it).
+  Instance inst = StuckInstance();
+  SymGdOptions options;
+  options.cell_size = 0.01;
+  options.adaptive = true;
+  options.time_budget_seconds = 0;
+  options.solver.eps = TestEps();
+  auto result = SymGd(inst.data, inst.given, options).Run(RandomSeed(3, 5));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->error, 0) << "the instance must leave the descent stuck";
+  EXPECT_EQ(result->final_cell_size, 1.999);
+  EXPECT_LT(result->iterations, 100);
+}
+
+TEST(SymGdTest, AdaptiveKeepsACellAboveTheGrowthCap) {
+  // A user cell in (1.999, 2) cannot grow; it is not shrunk to the cap.
+  Instance inst = StuckInstance();
+  SymGdOptions options;
+  options.cell_size = 1.9995;
+  options.adaptive = true;
+  options.solver.eps = TestEps();
+  auto result = SymGd(inst.data, inst.given, options).Run(RandomSeed(3, 5));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->final_cell_size, 1.9995);
+  EXPECT_LT(result->iterations, 100);
+}
+
 TEST(SymGdTest, RespectsProblemConstraints) {
   Instance inst = MakeInstance(3, 50, 3, 4, 2);
   SymGdOptions options;

@@ -6,10 +6,12 @@
 // count, the spatial search's error, bound, boxes and incumbent updates,
 // and a Sym-GD descent's error, cell solves and summed nodes. The Sym-GD
 // instance has more than 3 000 ordinal-regression pairs, so its seed comes
-// from the subgradient path. A change that claims to leave every search
-// decision alone (constants moved, plumbing deleted) must pass this
-// unmodified; tests/milp/work_count_golden_test.cc does the same for the
-// indicator MILP.
+// from the subgradient path; the seed's weights are pinned bit for bit
+// (hex-float literals), and so is the presolve on that instance. A change
+// that claims to leave every search decision alone (constants moved,
+// plumbing deleted, a kernel swapped) must pass this unmodified;
+// tests/milp/work_count_golden_test.cc does the same for the indicator
+// MILP.
 
 #include <cstdint>
 #include <vector>
@@ -98,6 +100,7 @@ void ExpectSpatialGolden(int n, int m, int k, const SpatialGolden& golden) {
 }
 
 struct SymGdGolden {
+  std::vector<double> seed;
   long error;
   int iterations;
   long total_nodes;
@@ -123,6 +126,10 @@ void ExpectSymGdGolden(int n, int m, int k, double cell,
   Result<std::vector<double>> seed =
       OrdinalRegressionSeed(data, given, options.solver.eps.eps1);
   ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+  ASSERT_EQ(seed->size(), golden.seed.size());
+  for (size_t a = 0; a < golden.seed.size(); ++a) {
+    EXPECT_EQ((*seed)[a], golden.seed[a]) << "seed weight " << a;
+  }
   Result<SymGdResult> result = SymGd(data, given, options).Run(*seed);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->error, golden.error);
@@ -146,8 +153,17 @@ TEST(CoreWorkCountGoldenTest, SpatialNba100Players4AttributesTop10) {
   ExpectSpatialGolden(100, 4, 10, {23, 1177, 2});
 }
 
+TEST(CoreWorkCountGoldenTest, PresolveNba3100Players5AttributesTop10) {
+  ExpectPresolveGolden(3100, 5, 10, 136, 2695);
+}
+
 TEST(CoreWorkCountGoldenTest, SymGdSubgradientSeedNba3100Players5Top10) {
-  ExpectSymGdGolden(3100, 5, 10, 0.02, {160, 8, 690});
+  ExpectSymGdGolden(3100, 5, 10, 0.02,
+                    {{0x1.4ad470531125cp-1, 0x1.92f6e750509dbp-6,
+                      0x1.24ac893f7a19ap-2, 0x0p+0, 0x1.63d93d2af488ep-5},
+                     160,
+                     8,
+                     690});
 }
 
 }  // namespace

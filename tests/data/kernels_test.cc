@@ -4,16 +4,25 @@
 // rank positions and dominance verdicts must match exactly — including at
 // block boundaries and for ties sitting right at tie_eps — and the parallel
 // path must produce the same bits at any worker count (1/2/8; the tsan label
-// on data_tests races this under the sanitizer).
+// on data_tests races this under the sanitizer). The rank-counting kernel
+// must equal a naive count on tie-heavy grids, and the objectives built on
+// it the sort-based definition it replaced.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 #include "data/kernels.h"
+#include "ranking/objective.h"
+#include "ranking/ranking.h"
+#include "ranking/score_ranking.h"
 #include "ranking/verifier.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -290,6 +299,137 @@ TEST(KernelsTest, VerifierWrapperUsesTheFusedKernel) {
   EXPECT_EQ(got, ref);
   EXPECT_EQ(got_exact, ref_exact);
   EXPECT_EQ(got_total, ref_total);
+}
+
+/// Tie-heavy scores on a grid of multiples of `step` (exact duplicates
+/// everywhere), mixed with +0.0, -0.0 and subnormals of both signs.
+std::vector<double> GridScores(int n, double step, uint64_t seed) {
+  Rng rng(seed);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> scores(n);
+  for (double& score : scores) {
+    switch (rng.NextBelow(8)) {
+      case 0:
+        score = 0.0;
+        break;
+      case 1:
+        score = -0.0;
+        break;
+      case 2:
+        score = tiny * static_cast<double>(rng.NextBelow(5)) *
+                (rng.NextBelow(2) == 0 ? 1.0 : -1.0);
+        break;
+      default:
+        score = step * (static_cast<double>(rng.NextBelow(41)) - 20.0);
+        break;
+    }
+  }
+  return scores;
+}
+
+/// Thresholds that mostly sit exactly on a score (the strict boundary),
+/// else on ±0.0, a subnormal, or a grid point between or beyond the
+/// scores. k > number of distinct values forces duplicates.
+std::vector<double> GridThresholds(const std::vector<double>& scores, int k,
+                                   double step, uint64_t seed) {
+  Rng rng(seed);
+  const int n = static_cast<int>(scores.size());
+  std::vector<double> thresholds(k);
+  for (double& threshold : thresholds) {
+    switch (rng.NextBelow(6)) {
+      case 0:
+        threshold = rng.NextBelow(2) == 0 ? 0.0 : -0.0;
+        break;
+      case 1:
+        threshold = std::numeric_limits<double>::denorm_min() *
+                    (static_cast<double>(rng.NextBelow(5)) - 2.0);
+        break;
+      case 2:
+        threshold = step * (static_cast<double>(rng.NextBelow(49)) - 24.5);
+        break;
+      default:
+        threshold = n > 0 ? scores[rng.NextBelow(n)] : step;
+        break;
+    }
+  }
+  return thresholds;
+}
+
+TEST(KernelsTest, CountScoresAboveMatchesNaiveCount) {
+  kernels::CountAboveScratch scratch;  // reused: stale state must not leak
+  for (int n : {0, 1, 2047, 2048, 2049, 5000}) {
+    const std::vector<double> scores = GridScores(n, 0.25, /*seed=*/n + 1);
+    for (int k : {0, 1, 7, n, 3 * n}) {
+      const std::vector<double> thresholds =
+          GridThresholds(scores, k, 0.25, /*seed=*/n * 7 + k);
+      std::vector<int> counts(k, -1);
+      kernels::CountScoresAbove(scores.data(), n, thresholds.data(), k,
+                                &scratch, counts.data());
+      for (int i = 0; i < k; ++i) {
+        int naive = 0;
+        for (double score : scores) naive += score > thresholds[i] ? 1 : 0;
+        ASSERT_EQ(counts[i], naive)
+            << "n=" << n << " k=" << k << " i=" << i
+            << " threshold=" << thresholds[i];
+      }
+    }
+  }
+}
+
+/// The sort-based position the counting kernel replaced: a descending copy
+/// of the scores, then ρ = 1 + the index of lower_bound(value + ε).
+int SortedDescendingPosition(const std::vector<double>& sorted_desc,
+                             double value, double tie_eps) {
+  return static_cast<int>(std::lower_bound(sorted_desc.begin(),
+                                           sorted_desc.end(), value + tie_eps,
+                                           std::greater<double>()) -
+                          sorted_desc.begin()) +
+         1;
+}
+
+// With ε equal to the grid step, a tuple one step above another sits
+// exactly on the strict boundary, which must not count as beating it.
+TEST(KernelsTest, PositionObjectivesMatchTheSortedDefinition) {
+  for (double step : {0.25, 0.1}) {
+    for (int n : {1, 2049, 5000}) {
+      const std::vector<double> grid = GridScores(n, step, /*seed=*/n + 3);
+      Dataset data({"A0", "A1"}, n);
+      for (int t = 0; t < n; ++t) {
+        data.set_value(t, 0, grid[t]);
+        data.set_value(t, 1, 1.0);
+      }
+      const std::vector<double> w = {1.0, 0.0};
+      const std::vector<double> scores = data.Scores(w);
+      // π ranks a random top 10 that disagrees with the scores.
+      Rng rng(n + 5);
+      std::vector<double> order_key(n);
+      for (double& key : order_key) key = rng.NextDouble();
+      const Ranking given = Ranking::FromScores(order_key, std::min(n, 10), 0);
+      const RankingObjectiveSpec top_heavy =
+          RankingObjectiveSpec::TopHeavy(given.k());
+
+      std::vector<double> sorted_desc = scores;
+      std::sort(sorted_desc.begin(), sorted_desc.end(),
+                std::greater<double>());
+      long position_error = 0;
+      long weighted_error = 0;
+      for (int t : given.ranked_tuples()) {
+        const long diff = std::labs(
+            static_cast<long>(
+                SortedDescendingPosition(sorted_desc, scores[t], step)) -
+            given.position(t));
+        position_error += diff;
+        weighted_error += top_heavy.PenaltyAt(given.position(t)) * diff;
+      }
+      EXPECT_EQ(PositionErrorFromScores(scores, given, step), position_error)
+          << "step=" << step << " n=" << n;
+      EXPECT_EQ(ObjectiveOf(data, given, w, step, RankingObjectiveSpec{}),
+                position_error)
+          << "step=" << step << " n=" << n;
+      EXPECT_EQ(ObjectiveOf(data, given, w, step, top_heavy), weighted_error)
+          << "step=" << step << " n=" << n;
+    }
+  }
 }
 
 // Parallel path: bit-identical results at every worker count. n is above
