@@ -12,8 +12,10 @@
 #     tests that SIGKILL a real --listen server mid-session and the
 #     coordinator failover tests that kill real workers;
 #   * ubsan — the batched scoring kernels with the ranking and baseline
-#     code built on them, and the LP engine with the MILP search over it
-#     (`ctest -L 'kernels|lp'`).
+#     code built on them, the LP engine with the MILP search over it, and
+#     the core and math suites (spatial search, indicator fixing, box
+#     geometry) (`ctest -L 'kernels|lp|search'`). The build passes
+#     -fno-sanitize-recover=undefined, so any UBSan report fails its test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,13 +50,14 @@ cmake --preset asan
 cmake --build --preset asan -j
 ctest --preset asan
 
-echo "== ubsan: UB-sanitized build + ctest -L 'kernels|lp' =="
+echo "== ubsan: UB-sanitized build + ctest -L 'kernels|lp|search' =="
 # The batched scoring kernels (src/data/kernels.cc) lean on blocked FP
-# accumulation, branch-free integer masks and slot arithmetic, and the
+# accumulation, branch-free integer masks and slot arithmetic, the
 # incremental LP's row-sparse elimination indexes the tableau through a
-# gathered list of column pairs; the ubsan preset runs the data, ranking,
-# baselines, LP and MILP suites to catch signed overflow / bad shifts /
-# invalid casts that -Wall cannot see.
+# gathered list of column pairs, and the spatial search refines each box
+# from its parent's int32 free-pair lists; the ubsan preset runs the data,
+# ranking, baselines, LP, MILP, core and math suites to catch signed
+# overflow / bad shifts / invalid casts that -Wall cannot see.
 cmake --preset ubsan
 cmake --build --preset ubsan -j
 ctest --preset ubsan

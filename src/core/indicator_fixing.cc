@@ -18,7 +18,28 @@ bool IsFullBox(const WeightBox& box) {
   return true;
 }
 
+enum class PairFixing { kOne, kZero, kFree };
+
+/// The fixing rule, given the range [lo, hi] of w·d over the box.
+PairFixing ClassifyPair(double lo, double hi, double eps1, double eps2) {
+  if (lo >= eps1) return PairFixing::kOne;
+  if (hi <= eps2) return PairFixing::kZero;
+  return PairFixing::kFree;
+}
+
 }  // namespace
+
+FixingState FixingState::FromSummary(const FixingSummary& summary) {
+  FixingState state;
+  state.groups.reserve(summary.groups.size());
+  state.free_s.reserve(summary.total_free);
+  for (const TupleFixing& group : summary.groups) {
+    state.groups.push_back(Group{group.fixed_one, group.fixed_zero,
+                                 static_cast<int32_t>(group.free.size())});
+    for (const FreePair& pair : group.free) state.free_s.push_back(pair.s);
+  }
+  return state;
+}
 
 Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
                                              const std::vector<int>& tuples,
@@ -67,14 +88,20 @@ Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
         lo = range->min;
         hi = range->max;
       }
-      if (enable_fixing && lo >= eps1) {
-        ++group.fixed_one;
-        summary.min_fixed_one_diff = std::min(summary.min_fixed_one_diff, lo);
-      } else if (enable_fixing && hi <= eps2) {
-        ++group.fixed_zero;
-        summary.max_fixed_zero_diff = std::max(summary.max_fixed_zero_diff, hi);
-      } else {
-        group.free.push_back(FreePair{s, lo, hi});
+      switch (enable_fixing ? ClassifyPair(lo, hi, eps1, eps2)
+                            : PairFixing::kFree) {
+        case PairFixing::kOne:
+          ++group.fixed_one;
+          summary.min_fixed_one_diff = std::min(summary.min_fixed_one_diff, lo);
+          break;
+        case PairFixing::kZero:
+          ++group.fixed_zero;
+          summary.max_fixed_zero_diff =
+              std::max(summary.max_fixed_zero_diff, hi);
+          break;
+        case PairFixing::kFree:
+          group.free.push_back(FreePair{s, lo, hi});
+          break;
       }
     }
     summary.total_fixed_one += group.fixed_one;
@@ -83,6 +110,51 @@ Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
     summary.groups.push_back(std::move(group));
   }
   return summary;
+}
+
+Result<FixingState> RefineIndicatorFixing(const Dataset& data,
+                                          const std::vector<int>& tuples,
+                                          const FixingState& parent,
+                                          const WeightBox& box, double eps1,
+                                          double eps2) {
+  RH_CHECK(box.dim() == data.num_attributes());
+  RH_CHECK(parent.groups.size() == tuples.size());
+  if (!box.IntersectsSimplex()) {
+    return Status::Infeasible("weight box misses the simplex");
+  }
+  FixingState state;
+  state.groups.reserve(tuples.size());
+  state.free_s.reserve(parent.free_s.size());
+  std::vector<double> d(data.num_attributes());
+  const int32_t* parent_free = parent.free_s.data();
+  for (size_t g = 0; g < tuples.size(); ++g) {
+    const int r = tuples[g];
+    FixingState::Group group = parent.groups[g];
+    const int32_t* const parent_end = parent_free + group.num_free;
+    group.num_free = 0;
+    for (; parent_free != parent_end; ++parent_free) {
+      const int s = *parent_free;
+      data.DiffVectorInto(s, r, d.data());
+      RH_ASSIGN_OR_RETURN(DotRange range, DotRangeOnSimplexBox(d, box));
+      switch (ClassifyPair(range.min, range.max, eps1, eps2)) {
+        case PairFixing::kOne:
+          ++group.fixed_one;
+          break;
+        case PairFixing::kZero:
+          ++group.fixed_zero;
+          break;
+        case PairFixing::kFree:
+          state.free_s.push_back(s);
+          ++group.num_free;
+          break;
+      }
+    }
+    state.groups.push_back(group);
+  }
+  // The state may be kept while the sub-box's children wait in a frontier:
+  // drop the capacity of the pairs that got fixed.
+  state.free_s.shrink_to_fit();
+  return state;
 }
 
 }  // namespace rankhow

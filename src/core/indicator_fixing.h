@@ -15,6 +15,7 @@
 /// Ranges of w·d over box ∩ simplex are computed exactly with the greedy
 /// support function in math/simplex_box.h.
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -59,6 +60,23 @@ struct FixingSummary {
   double max_fixed_zero_diff = -std::numeric_limits<double>::infinity();
 };
 
+/// A box's fixing in the compact form a sub-box refines from: per group
+/// (in `tuples` order) the two fixed counts and the number of free pairs,
+/// and the free s of all groups back to back, each group's ascending. No
+/// ranges are kept; a refinement recomputes the ones it needs.
+struct FixingState {
+  struct Group {
+    int32_t fixed_one = 0;
+    int32_t fixed_zero = 0;
+    int32_t num_free = 0;
+  };
+  std::vector<Group> groups;
+  std::vector<int32_t> free_s;
+
+  /// The compact form of a full summary.
+  static FixingState FromSummary(const FixingSummary& summary);
+};
+
 /// Computes δ_sr fixing for every group tuple r in `tuples` against all
 /// other tuples s, over `box` ∩ simplex:
 ///   min w·d >= eps1  ⇒ δ = 1,   max w·d <= eps2  ⇒ δ = 0,   else free.
@@ -72,6 +90,18 @@ Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
                                              const WeightBox& box,
                                              double eps1, double eps2,
                                              bool enable_fixing = true);
+
+/// The same fixing over `box`, refined from `parent`: the state of a box
+/// that contains `box`, computed for the same tuples and thresholds. Over a
+/// sub-box the exact minimum of w·d can only rise and the maximum only
+/// fall, so a pair fixed over the parent stays fixed: the counts carry over
+/// and only the parent's free pairs have their ranges recomputed. Fails
+/// with kInfeasible when box ∩ simplex is empty.
+Result<FixingState> RefineIndicatorFixing(const Dataset& data,
+                                          const std::vector<int>& tuples,
+                                          const FixingState& parent,
+                                          const WeightBox& box, double eps1,
+                                          double eps2);
 
 }  // namespace rankhow
 

@@ -165,17 +165,21 @@ std::vector<PortfolioSeed> BuildPortfolioSeeds(const Dataset& data,
     }
     return false;
   };
-  auto try_add = [&](const char* name, Result<std::vector<double>> w) {
+  // Each deterministic seed is built only while a slot is open for it.
+  auto try_add = [&](const char* name, auto build) {
     if (static_cast<int>(seeds.size()) >= count) return;
+    Result<std::vector<double>> w = build();
     if (!w.ok() || near_duplicate(*w)) return;  // random draw fills the slot
     seeds.push_back(PortfolioSeed{name, *std::move(w)});
   };
 
-  try_add("ordinal", OrdinalRegressionSeed(data, given, eps1));
-  try_add("linear", LinearRegressionSeed(data, given));
-  GridSeedOptions grid_options;
-  grid_options.eps1 = eps1;
-  try_add("grid", GridLowerBoundSeed(data, given, grid_options));
+  try_add("ordinal", [&] { return OrdinalRegressionSeed(data, given, eps1); });
+  try_add("linear", [&] { return LinearRegressionSeed(data, given); });
+  try_add("grid", [&] {
+    GridSeedOptions grid_options;
+    grid_options.eps1 = eps1;
+    return GridLowerBoundSeed(data, given, grid_options);
+  });
   // Random tail: stream i is disjoint from every other by construction,
   // and tied to its slot index — dropping a failed deterministic seed
   // never reshuffles which random points the survivors get. Duplicate

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 
 #include "core/indicator_fixing.h"
 #include "core/presolve.h"
@@ -23,11 +24,13 @@ namespace {
 constexpr double kMinBoxWidth = 1e-9;
 
 /// A subdivision node: a box with the lower bound its parent proved for it
-/// (tightened on expansion).
+/// (tightened on expansion), and the parent's fixing state, which both
+/// children share and refine from (null at the root).
 struct Node {
   WeightBox box;
   long lb;
   int depth;
+  std::shared_ptr<const FixingState> parent_fixing;
 
   /// Exact for every reachable error value (longs far below 2^53).
   double frontier_bound() const { return static_cast<double>(lb); }
@@ -51,6 +54,7 @@ struct BoxBound {
   long lb = 0;
   bool feasible = true;   // false: prune (no valid weight vector inside)
   bool all_fixed = true;  // every indicator constant over the box
+  FixingState fixing;     // the box's own state, for its children
 };
 
 LpModel BuildFeasibilityModel(int m, const WeightConstraintSet& constraints) {
@@ -110,8 +114,10 @@ struct WorkerState {
 };
 
 /// Bounds a box. Also prunes via order constraints and position brackets.
+/// The root box (no `parent`) gets the one full fixing pass; every other
+/// box refines its parent's state.
 Result<BoxBound> BoundBox(const SearchShared& sh, WorkerState& ws,
-                          const WeightBox& box) {
+                          const WeightBox& box, const FixingState* parent) {
   BoxBound out;
   for (const PairwiseOrderConstraint& oc : sh.problem.order_constraints) {
     for (int a = 0; a < sh.m; ++a) {
@@ -127,26 +133,34 @@ Result<BoxBound> BoundBox(const SearchShared& sh, WorkerState& ws,
     // would wrongly discard the satisfying part.
     if (range.min < sh.fix_one_at) out.all_fixed = false;
   }
-  RH_ASSIGN_OR_RETURN(FixingSummary fixing,
-                      ComputeIndicatorFixing(sh.data, sh.tuples, box,
-                                             sh.fix_one_at, sh.fix_zero_at));
-  for (const TupleFixing& group : fixing.groups) {
+  if (parent == nullptr) {
+    RH_ASSIGN_OR_RETURN(FixingSummary summary,
+                        ComputeIndicatorFixing(sh.data, sh.tuples, box,
+                                               sh.fix_one_at, sh.fix_zero_at));
+    out.fixing = FixingState::FromSummary(summary);
+  } else {
+    RH_ASSIGN_OR_RETURN(out.fixing,
+                        RefineIndicatorFixing(sh.data, sh.tuples, *parent, box,
+                                              sh.fix_one_at, sh.fix_zero_at));
+  }
+  for (size_t g = 0; g < sh.tuples.size(); ++g) {
+    const int tuple = sh.tuples[g];
+    const FixingState::Group& group = out.fixing.groups[g];
     const long beats_min = group.fixed_one;
-    const long beats_max =
-        group.fixed_one + static_cast<long>(group.free.size());
-    if (!group.free.empty()) out.all_fixed = false;
+    const long beats_max = group.fixed_one + group.num_free;
+    if (group.num_free > 0) out.all_fixed = false;
     for (const PositionConstraint& pc : sh.problem.position_constraints) {
-      if (pc.tuple != group.tuple) continue;
+      if (pc.tuple != tuple) continue;
       if (beats_min + 1 > pc.max_position ||
           beats_max + 1 < pc.min_position) {
         out.feasible = false;
         return out;
       }
     }
-    if (!sh.given.IsRanked(group.tuple)) continue;
-    const long target = sh.given.position(group.tuple) - 1;
+    if (!sh.given.IsRanked(tuple)) continue;
+    const long target = sh.given.position(tuple) - 1;
     const long penalty =
-        sh.problem.objective.PenaltyAt(sh.given.position(group.tuple));
+        sh.problem.objective.PenaltyAt(sh.given.position(tuple));
     if (target < beats_min) {
       out.lb += penalty * (beats_min - target);
     } else if (target > beats_max) {
@@ -197,7 +211,10 @@ void OfferIncumbent(SearchShared& sh, const std::vector<double>& w) {
 /// error (LP layer, bound computation) is reported to the coordinator and
 /// stops the search.
 void ProcessBox(SearchShared& sh, WorkerState& ws, Node node) {
-  auto bb = BoundBox(sh, ws, node.box);
+  auto bb = BoundBox(sh, ws, node.box, node.parent_fixing.get());
+  // The parent's state is read only by the bound; drop this node's share
+  // now, so the last sibling to be bounded frees it.
+  node.parent_fixing.reset();
   if (!bb.ok()) {
     sh.coordinator.ReportError(bb.status());
     sh.frontier.RequestStop();
@@ -262,8 +279,10 @@ void ProcessBox(SearchShared& sh, WorkerState& ws, Node node) {
     }
   }
   double mid = 0.5 * (node.box.lo[dim] + node.box.hi[dim]);
+  // Immutable from here on, so children may be bounded on any worker.
+  auto fixing = std::make_shared<const FixingState>(std::move(bb->fixing));
   for (int side = 0; side < 2; ++side) {
-    Node child{node.box, lb, node.depth + 1};
+    Node child{node.box, lb, node.depth + 1, fixing};
     (side == 0 ? child.box.hi : child.box.lo)[dim] = mid;
     if (!child.box.IntersectsSimplex()) continue;
     sh.frontier.Push(std::move(child));
@@ -413,7 +432,8 @@ Result<SpatialBnbResult> SpatialBnb::Solve(const WeightBox& root_box) const {
   }
   // Children inherit max(parent lb, box bound), so the externally proven
   // bound (if any) lifts the whole subdivision.
-  shared.frontier.Push(Node{root, std::max(0L, options_.external_lower_bound), 0});
+  shared.frontier.Push(
+      Node{root, std::max(0L, options_.external_lower_bound), 0, nullptr});
 
   std::vector<WorkerState> workers(num_workers);
   if (num_workers == 1) {

@@ -69,10 +69,14 @@ std::vector<double> WeightBox::Clamp(const std::vector<double>& w) const {
 
 namespace {
 
-/// Exact min of d·w over {Σw=1, lo≤w≤hi} by greedy filling: start at lo and
-/// distribute the remaining mass 1−Σlo to coordinates in ascending d order.
+/// Exact min of c·w over {Σw=1, lo≤w≤hi} by greedy filling, for c = d or,
+/// with kNegate, c = −d: start at lo and distribute the remaining mass
+/// 1−Σlo to coordinates in ascending c order. The order goes into a
+/// thread-local buffer, so a range query allocates nothing.
+template <bool kNegate>
 Result<double> MinDot(const std::vector<double>& d, const WeightBox& box) {
   const int m = static_cast<int>(d.size());
+  auto c = [&d](int i) { return kNegate ? -d[i] : d[i]; };
   double sum_lo = 0;
   for (int i = 0; i < m; ++i) {
     if (box.lo[i] > box.hi[i] + 1e-15) {
@@ -84,17 +88,18 @@ Result<double> MinDot(const std::vector<double>& d, const WeightBox& box) {
   if (remaining < -1e-12) return Status::Infeasible("sum lo > 1");
 
   double value = 0;
-  for (int i = 0; i < m; ++i) value += d[i] * box.lo[i];
+  for (int i = 0; i < m; ++i) value += c(i) * box.lo[i];
 
-  std::vector<int> order(m);
+  static thread_local std::vector<int> order;
+  order.resize(m);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return d[a] < d[b]; });
+            [&](int a, int b) { return c(a) < c(b); });
   for (int idx : order) {
     if (remaining <= 0) break;
     double slack = box.hi[idx] - box.lo[idx];
     double take = std::min(slack, remaining);
-    value += d[idx] * take;
+    value += c(idx) * take;
     remaining -= take;
   }
   if (remaining > 1e-9) return Status::Infeasible("sum hi < 1");
@@ -106,10 +111,10 @@ Result<double> MinDot(const std::vector<double>& d, const WeightBox& box) {
 Result<DotRange> DotRangeOnSimplexBox(const std::vector<double>& d,
                                       const WeightBox& box) {
   RH_DCHECK(static_cast<int>(d.size()) == box.dim());
-  RH_ASSIGN_OR_RETURN(double mn, MinDot(d, box));
-  std::vector<double> neg(d.size());
-  for (size_t i = 0; i < d.size(); ++i) neg[i] = -d[i];
-  RH_ASSIGN_OR_RETURN(double neg_min, MinDot(neg, box));
+  RH_ASSIGN_OR_RETURN(double mn, MinDot</*kNegate=*/false>(d, box));
+  // max d·w = −min (−d)·w. Negation is exact, so negating each coefficient
+  // where it is read gives what a negated copy of d would, bit for bit.
+  RH_ASSIGN_OR_RETURN(double neg_min, MinDot</*kNegate=*/true>(d, box));
   return DotRange{mn, -neg_min};
 }
 

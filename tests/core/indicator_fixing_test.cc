@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ranking/ranking.h"
 #include "util/random.h"
 
 namespace rankhow {
@@ -159,6 +160,109 @@ TEST_P(FixingPropertyTest, ClassificationSoundAgainstSampling) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FixingPropertyTest,
                          ::testing::Range<uint64_t>(0, 40));
+
+FixingState Recompute(const Dataset& d, const std::vector<int>& tuples,
+                      const WeightBox& box, double eps1, double eps2) {
+  auto fixing = ComputeIndicatorFixing(d, tuples, box, eps1, eps2);
+  EXPECT_TRUE(fixing.ok()) << fixing.status().ToString();
+  return fixing.ok() ? FixingState::FromSummary(*fixing) : FixingState();
+}
+
+void ExpectSameState(const FixingState& refined, const FixingState& full) {
+  ASSERT_EQ(refined.groups.size(), full.groups.size());
+  for (size_t g = 0; g < full.groups.size(); ++g) {
+    EXPECT_EQ(refined.groups[g].fixed_one, full.groups[g].fixed_one) << g;
+    EXPECT_EQ(refined.groups[g].fixed_zero, full.groups[g].fixed_zero) << g;
+    EXPECT_EQ(refined.groups[g].num_free, full.groups[g].num_free) << g;
+  }
+  EXPECT_EQ(refined.free_s, full.free_s);
+}
+
+// Refinement equals recomputation: down a chain of widest-dimension
+// midpoint splits, as the spatial search walks them, the state refined
+// from the parent's must equal a full pass over the same box. Odd seeds
+// draw grid data (multiples of 1/8, so ties and exact zeros abound).
+class RefinementTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RefinementTest, EqualsRecomputationDownSplitChains) {
+  Rng rng(GetParam());
+  const bool grid = GetParam() % 2 == 1;
+  const int n = static_cast<int>(rng.NextInt(20, 80));
+  const int m = static_cast<int>(rng.NextInt(2, 6));
+  std::vector<std::string> names;
+  for (int a = 0; a < m; ++a) names.push_back(std::string(1, 'A' + a));
+  Dataset d(names, n);
+  for (int t = 0; t < n; ++t) {
+    for (int a = 0; a < m; ++a) {
+      d.set_value(t, a, grid ? rng.NextInt(0, 8) / 8.0 : rng.NextDouble());
+    }
+  }
+  // The ranked groups of a top-k ranking, plus one unranked tuple as the
+  // extra group a position constraint adds.
+  const int k = static_cast<int>(rng.NextInt(1, 6));
+  Ranking given =
+      Ranking::FromScores(d.Scores(rng.NextSimplexPoint(m)), k, 0.0);
+  std::vector<int> tuples = given.ranked_tuples();
+  for (int t = 0; t < n; ++t) {
+    if (!given.IsRanked(t)) {
+      tuples.push_back(t);
+      break;
+    }
+  }
+  // The spatial search's thresholds (ε, η) and the MILP's (ε₁, ε₂).
+  const bool spatial = rng.NextInt(0, 1) == 1;
+  const double eps1 = spatial ? 5e-5 + 5e-14 : 1e-4;
+  const double eps2 = spatial ? 5e-5 : 0.0;
+
+  WeightBox box = rng.NextInt(0, 1) == 1
+                      ? WeightBox::FullSimplex(m)
+                      : WeightBox::CellAround(rng.NextSimplexPoint(m),
+                                              rng.NextUniform(0.1, 0.6));
+  FixingState state = Recompute(d, tuples, box, eps1, eps2);
+  for (int level = 0; level < 8; ++level) {
+    int dim = 0;
+    for (int i = 1; i < m; ++i) {
+      if (box.hi[i] - box.lo[i] > box.hi[dim] - box.lo[dim]) dim = i;
+    }
+    const double mid = 0.5 * (box.lo[dim] + box.hi[dim]);
+    const int first = static_cast<int>(rng.NextInt(0, 1));
+    WeightBox child;
+    for (int side : {first, 1 - first}) {
+      child = box;
+      (side == 0 ? child.hi : child.lo)[dim] = mid;
+      if (child.IntersectsSimplex()) break;
+      auto refined = RefineIndicatorFixing(d, tuples, state, child, eps1, eps2);
+      ASSERT_FALSE(refined.ok());
+      EXPECT_EQ(refined.status().code(), StatusCode::kInfeasible);
+    }
+    // One closed half of a box that meets the simplex meets it too.
+    ASSERT_TRUE(child.IntersectsSimplex());
+    auto refined = RefineIndicatorFixing(d, tuples, state, child, eps1, eps2);
+    ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+    ExpectSameState(*refined, Recompute(d, tuples, child, eps1, eps2));
+    box = std::move(child);
+    state = *std::move(refined);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RefinementTest,
+                         ::testing::Range<uint64_t>(0, 80));
+
+TEST(IndicatorFixingTest, RefinementRejectsBoxMissingSimplex) {
+  Dataset d({"A", "B"}, 3);
+  for (int t = 0; t < 3; ++t) {
+    d.set_value(t, 0, t);
+    d.set_value(t, 1, 2 - t);
+  }
+  const std::vector<int> tuples = {0};
+  FixingState root = Recompute(d, tuples, WeightBox::FullSimplex(2), 1e-9, 0);
+  WeightBox box;
+  box.lo = {0.0, 0.0};
+  box.hi = {0.2, 0.2};  // Σhi < 1
+  auto refined = RefineIndicatorFixing(d, tuples, root, box, 1e-9, 0.0);
+  ASSERT_FALSE(refined.ok());
+  EXPECT_EQ(refined.status().code(), StatusCode::kInfeasible);
+}
 
 }  // namespace
 }  // namespace rankhow

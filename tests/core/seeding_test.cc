@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "data/nba.h"
 #include "data/synthetic.h"
 #include "ranking/score_ranking.h"
+#include "util/timer.h"
 
 namespace rankhow {
 namespace {
@@ -77,6 +79,44 @@ TEST(SeedingTest, GridLowerBoundSeedFindsGoodCell) {
   long random_error =
       PositionError(inst.data, inst.given, RandomSeed(2, 1), 0.0);
   EXPECT_LE(error, std::max<long>(random_error, 3));
+}
+
+// A portfolio builds a deterministic seed only while a slot is open for
+// it: two slots go to the ordinal and linear fits, so the grid search
+// (seconds at this n) must not run. The grid seed alone is the yardstick.
+TEST(SeedingTest, PortfolioBuildsOnlyTheSeedsItKeeps) {
+  const NbaData nba = GenerateNba({.num_tuples = 22840, .seed = 1});
+  const int n = 300;
+  std::vector<int> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  Dataset data = nba.table.SelectTuples(rows).SelectAttributes({0, 1, 2, 3, 4});
+  data.NormalizeMinMax();
+  std::vector<double> score(nba.mp_times_per.begin(),
+                            nba.mp_times_per.begin() + n);
+  Ranking given = Ranking::FromScores(score, 10, 0.0);
+  const double eps1 = 1e-4;
+
+  WallTimer grid_timer;
+  GridSeedOptions grid_options;
+  grid_options.eps1 = eps1;
+  auto grid = GridLowerBoundSeed(data, given, grid_options);
+  const double grid_seconds = grid_timer.ElapsedSeconds();
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+
+  WallTimer portfolio_timer;
+  std::vector<PortfolioSeed> seeds =
+      BuildPortfolioSeeds(data, given, eps1, /*count=*/2, /*stream_seed=*/7);
+  const double portfolio_seconds = portfolio_timer.ElapsedSeconds();
+  EXPECT_LT(portfolio_seconds, grid_seconds / 4)
+      << "grid seed " << grid_seconds << " s, portfolio of 2 "
+      << portfolio_seconds << " s";
+
+  // The same seeds as building all three first: the two fits, in order.
+  ASSERT_EQ(seeds.size(), 2u);
+  EXPECT_EQ(seeds[0].name, "ordinal");
+  EXPECT_EQ(seeds[0].weights, *OrdinalRegressionSeed(data, given, eps1));
+  EXPECT_EQ(seeds[1].name, "linear");
+  EXPECT_EQ(seeds[1].weights, *LinearRegressionSeed(data, given));
 }
 
 TEST(SeedingTest, RandomSeedDeterministicPerSeed) {

@@ -14,6 +14,7 @@
 // MILP.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,13 +83,17 @@ struct SpatialGolden {
   int64_t incumbent_updates;
 };
 
-void ExpectSpatialGolden(int n, int m, int k, const SpatialGolden& golden) {
+/// `constrain`, when given, adds side constraints to the problem first.
+void ExpectSpatialGolden(
+    int n, int m, int k, const SpatialGolden& golden,
+    const std::function<void(const Ranking&, OptProblem*)>& constrain = {}) {
   Dataset data;
   Ranking given;
   MakeNbaInstance(n, m, k, &data, &given);
   RankHowOptions options = GoldenOptions();
   options.strategy = SolveStrategy::kSpatial;
   RankHow solver(data, given, options);
+  if (constrain) constrain(given, &solver.problem());
   Result<RankHowResult> result = solver.Solve();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->proven_optimal);
@@ -151,6 +156,27 @@ TEST(CoreWorkCountGoldenTest, SpatialNba100Players5AttributesTop6) {
 
 TEST(CoreWorkCountGoldenTest, SpatialNba100Players4AttributesTop10) {
   ExpectSpatialGolden(100, 4, 10, {23, 1177, 2});
+}
+
+// A larger instance: 9 191 boxes, nearly all of them bounded from their
+// parent's fixing state down long chains of splits.
+TEST(CoreWorkCountGoldenTest, SpatialNba600Players5AttributesTop6) {
+  ExpectSpatialGolden(600, 5, 6, {24, 9191, 3});
+}
+
+// Side constraints: a weight floor (so the root box is not the full
+// simplex), an order constraint, and a position range on an unranked
+// tuple, which the search brackets as one more group.
+TEST(CoreWorkCountGoldenTest, SpatialNba100Players5AttributesTop6Constrained) {
+  ExpectSpatialGolden(
+      100, 5, 6, {7, 2151, 2}, [](const Ranking& given, OptProblem* p) {
+        p->constraints.AddMinWeight(1, 0.1);
+        p->order_constraints.push_back(
+            {given.ranked_tuples()[3], given.ranked_tuples()[2]});
+        int unranked = 0;
+        while (given.IsRanked(unranked)) ++unranked;
+        p->position_constraints.push_back({unranked, 5, 15});
+      });
 }
 
 TEST(CoreWorkCountGoldenTest, PresolveNba3100Players5AttributesTop10) {

@@ -1,6 +1,8 @@
 #include "math/simplex_box.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -121,6 +123,141 @@ TEST_P(DotRangePropertyTest, BoundsAllSimplexPoints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DotRangePropertyTest,
                          ::testing::Range<uint64_t>(0, 40));
+
+// The allocating range computation the library used before its order
+// buffer became thread-local and its max stopped negating a copy of d:
+// the reference the current one must match bit for bit.
+namespace reference {
+
+Result<double> MinDot(const std::vector<double>& d, const WeightBox& box) {
+  const int m = static_cast<int>(d.size());
+  double sum_lo = 0;
+  for (int i = 0; i < m; ++i) {
+    if (box.lo[i] > box.hi[i] + 1e-15) {
+      return Status::Infeasible("empty box");
+    }
+    sum_lo += box.lo[i];
+  }
+  double remaining = 1.0 - sum_lo;
+  if (remaining < -1e-12) return Status::Infeasible("sum lo > 1");
+
+  double value = 0;
+  for (int i = 0; i < m; ++i) value += d[i] * box.lo[i];
+
+  std::vector<int> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return d[a] < d[b]; });
+  for (int idx : order) {
+    if (remaining <= 0) break;
+    double slack = box.hi[idx] - box.lo[idx];
+    double take = std::min(slack, remaining);
+    value += d[idx] * take;
+    remaining -= take;
+  }
+  if (remaining > 1e-9) return Status::Infeasible("sum hi < 1");
+  return value;
+}
+
+Result<DotRange> DotRangeOnSimplexBox(const std::vector<double>& d,
+                                      const WeightBox& box) {
+  RH_ASSIGN_OR_RETURN(double mn, MinDot(d, box));
+  std::vector<double> neg(d.size());
+  for (size_t i = 0; i < d.size(); ++i) neg[i] = -d[i];
+  RH_ASSIGN_OR_RETURN(double neg_min, MinDot(neg, box));
+  return DotRange{mn, -neg_min};
+}
+
+}  // namespace reference
+
+void ExpectBitIdenticalRange(const std::vector<double>& d,
+                             const WeightBox& box) {
+  auto want = reference::DotRangeOnSimplexBox(d, box);
+  auto got = DotRangeOnSimplexBox(d, box);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  EXPECT_EQ(std::memcmp(&got->min, &want->min, sizeof(double)), 0)
+      << got->min << " vs " << want->min;
+  EXPECT_EQ(std::memcmp(&got->max, &want->max, sizeof(double)), 0)
+      << got->max << " vs " << want->max;
+}
+
+// Coefficients drawn from a small pool, so values repeat (ties in the sort)
+// and include ±0.0, subnormals and large magnitudes.
+std::vector<double> AwkwardCoefficients(Rng& rng, int m) {
+  static const double kPool[] = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.0,
+                                 0.125,
+                                 -0.375,
+                                 std::numeric_limits<double>::denorm_min(),
+                                 -std::numeric_limits<double>::denorm_min(),
+                                 3e-310,
+                                 1e300,
+                                 -1e300,
+                                 1e-300};
+  const int pool = static_cast<int>(sizeof(kPool) / sizeof(kPool[0]));
+  std::vector<double> d(m);
+  for (double& v : d) {
+    v = rng.NextInt(0, 3) == 0 ? rng.NextGaussian()
+                               : kPool[rng.NextInt(0, pool - 1)];
+  }
+  return d;
+}
+
+class DotRangeBitIdentityTest : public ::testing::TestWithParam<int> {};
+
+// m = 1…20 spans both of std::sort's regimes (insertion sort up to 16
+// elements, introsort above). Boxes: CellAround cells and the chains of
+// widest-dimension midpoint splits the spatial search walks from them and
+// from the full simplex, with both halves tried whether or not they meet
+// the simplex.
+TEST_P(DotRangeBitIdentityTest, MatchesAllocatingReference) {
+  const int m = GetParam();
+  Rng rng(1000 + m);
+  for (int trial = 0; trial < 40; ++trial) {
+    WeightBox box = trial % 4 == 0
+                        ? WeightBox::FullSimplex(m)
+                        : WeightBox::CellAround(rng.NextSimplexPoint(m),
+                                                rng.NextUniform(0.01, 1.0));
+    for (int level = 0; level < 10; ++level) {
+      for (int draw = 0; draw < 4; ++draw) {
+        ExpectBitIdenticalRange(AwkwardCoefficients(rng, m), box);
+      }
+      int dim = 0;
+      for (int i = 1; i < m; ++i) {
+        if (box.hi[i] - box.lo[i] > box.hi[dim] - box.lo[dim]) dim = i;
+      }
+      const double mid = 0.5 * (box.lo[dim] + box.hi[dim]);
+      (rng.NextInt(0, 1) == 0 ? box.hi : box.lo)[dim] = mid;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, DotRangeBitIdentityTest,
+                         ::testing::Range(1, 21));
+
+TEST(DotRangeTest, SameStatusAsReferenceOnBoxesMissingTheSimplex) {
+  const std::vector<double> d = {0.5, -0.0, 2.0};
+  WeightBox inverted;  // lo > hi
+  inverted.lo = {0.2, 0.5, 0.0};
+  inverted.hi = {0.6, 0.4, 1.0};
+  WeightBox heavy;  // Σlo > 1
+  heavy.lo = {0.5, 0.4, 0.3};
+  heavy.hi = {1.0, 1.0, 1.0};
+  WeightBox light;  // Σhi < 1
+  light.lo = {0.0, 0.0, 0.0};
+  light.hi = {0.3, 0.3, 0.3};
+  for (const WeightBox& box : {inverted, heavy, light}) {
+    EXPECT_FALSE(DotRangeOnSimplexBox(d, box).ok());
+    ExpectBitIdenticalRange(d, box);
+  }
+}
 
 }  // namespace
 }  // namespace rankhow
