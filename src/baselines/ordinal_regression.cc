@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "lp/simplex.h"
@@ -21,6 +22,11 @@ constexpr double kTieBand = 0.0;
 /// Subgradient iterations and base step size of the large-input path.
 constexpr int kSubgradientIters = 1500;
 constexpr double kSubgradientLr = 0.05;
+/// Radius of the screened fit's ball, in steps: a ball built at iteration i
+/// has radius kScreenSteps·step_i (DESIGN.md "Screened subgradient fit").
+constexpr double kScreenSteps = 4;
+/// The screen's rounding guard, relative to ‖d‖₁ + |μ|.
+constexpr double kScreenGuard = 1e-10;
 /// Cap on sampled (last-ranked, ⊥) pairs for huge inputs.
 constexpr int kMaxBottomPairs = 20000;
 /// Deterministic RNG stream of that sampling.
@@ -162,31 +168,80 @@ std::vector<double> ProjectToSimplex(std::vector<double> v) {
   return v;
 }
 
+/// ‖d‖₂, computed relative to the largest |d_a| so that squaring tiny raw
+/// values cannot underflow it to zero.
+double ScaledNorm2(const double* d, int m) {
+  double scale = 0;
+  for (int a = 0; a < m; ++a) scale = std::max(scale, std::abs(d[a]));
+  if (!(scale > 0 && scale < kInfinity)) return scale;
+  double sum = 0;
+  for (int a = 0; a < m; ++a) {
+    const double x = d[a] / scale;
+    sum += x * x;
+  }
+  return scale * std::sqrt(sum);
+}
+
 OrdinalRegressionFit SolveWithSubgradient(
     const Dataset& data, const Ranking& given,
     const std::vector<OrderedPair>& pairs,
     const OrdinalRegressionOptions& options) {
   const int m = data.num_attributes();
   // Each pair's difference vector and margin, once per fit: pair-major rows
-  // diffs[p*m + a] = A_a(above) − A_a(below), read contiguously by every
-  // iteration below.
+  // diffs[p*m + a] = A_a(above) − A_a(below). The screen below also needs
+  // ‖d_p‖₂ and the pair's rounding guard.
   const size_t num_pairs = pairs.size();
   std::vector<double> diffs(num_pairs * m);
   std::vector<double> margins(num_pairs);
+  std::vector<double> norms(num_pairs);
+  std::vector<double> guards(num_pairs);
   for (size_t p = 0; p < num_pairs; ++p) {
-    data.DiffVectorInto(pairs[p].above, pairs[p].below, diffs.data() + p * m);
+    double* d = diffs.data() + p * m;
+    data.DiffVectorInto(pairs[p].above, pairs[p].below, d);
     margins[p] = PairMargin(pairs[p], given, options);
+    norms[p] = ScaledNorm2(d, m);
+    double norm1 = 0;
+    for (int a = 0; a < m; ++a) norm1 += std::abs(d[a]);
+    // DBL_MIN covers the absolute rounding of subnormal products.
+    guards[p] = kScreenGuard * (norm1 + std::abs(margins[p])) +
+                std::numeric_limits<double>::min();
   }
   std::vector<double> w(m, 1.0 / m);
   std::vector<double> best = w;
   double best_loss = kInfinity;
 
+  // The screen: while ‖w − w₀‖₂ <= radius, a strict pair with
+  // (d·w₀ − μ) − ‖d‖₂·radius > guard has d·w >= μ (Cauchy–Schwarz), so it
+  // cannot be violated and adds nothing to the loss or the subgradient.
+  // `candidates` lists the other pairs, ties included, in ascending order,
+  // so the loop below runs the unscreened loop's arithmetic on every
+  // violated pair in the same order, and its results are bit-identical.
+  std::vector<double> w0 = w;
+  double radius = -1;  // no ball yet: the first iteration builds one
+  std::vector<uint32_t> candidates;
+  auto rebuild = [&](double new_radius) {
+    w0 = w;
+    radius = new_radius;
+    candidates.clear();
+    for (size_t p = 0; p < num_pairs; ++p) {
+      if (!pairs[p].tie) {
+        const double* d = diffs.data() + p * m;
+        double diff = 0;
+        for (int a = 0; a < m; ++a) diff += w0[a] * d[a];
+        // A non-finite d makes the slack NaN or −∞, which keeps the pair.
+        const double slack = (diff - margins[p]) - norms[p] * radius;
+        if (slack > guards[p]) continue;
+      }
+      candidates.push_back(static_cast<uint32_t>(p));
+    }
+  };
+
   auto loss_and_grad = [&](const std::vector<double>& weights,
                            std::vector<double>* grad) {
     grad->assign(m, 0.0);
     double loss = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const double* d = diffs.data() + p * m;
+    for (uint32_t p : candidates) {
+      const double* d = diffs.data() + static_cast<size_t>(p) * m;
       double diff = 0;
       for (int a = 0; a < m; ++a) diff += weights[a] * d[a];
       if (pairs[p].tie) {
@@ -209,6 +264,12 @@ OrdinalRegressionFit SolveWithSubgradient(
 
   std::vector<double> grad(m);
   for (int iter = 0; iter < kSubgradientIters; ++iter) {
+    // How far this iteration's step can move w: the step has this length
+    // and the projection onto the simplex is non-expansive.
+    const double step = kSubgradientLr / (1.0 + 0.05 * iter);
+    double moved = 0;
+    for (int a = 0; a < m; ++a) moved += (w[a] - w0[a]) * (w[a] - w0[a]);
+    if (!(std::sqrt(moved) <= radius)) rebuild(kScreenSteps * step);
     double loss = loss_and_grad(w, &grad);
     if (loss < best_loss) {
       best_loss = loss;
@@ -217,7 +278,7 @@ OrdinalRegressionFit SolveWithSubgradient(
     }
     double grad_norm = std::sqrt(Dot(grad, grad));
     if (grad_norm < 1e-15) break;
-    double lr = kSubgradientLr / (1.0 + 0.05 * iter) / grad_norm;
+    double lr = step / grad_norm;
     for (int a = 0; a < m; ++a) w[a] -= lr * grad[a];
     w = ProjectToSimplex(std::move(w));
   }

@@ -73,34 +73,6 @@ struct Candidate {
   long error;
 };
 
-/// Blends `p` toward anchor `a` until the segment point enters the box:
-/// both are simplex points, so any convex combination stays on the simplex;
-/// the largest admissible step keeps the most diversity. Returns nullopt
-/// when even the anchor misses the box (should not happen for a valid
-/// anchor).
-std::optional<std::vector<double>> BlendIntoBox(const std::vector<double>& p,
-                                                const std::vector<double>& a,
-                                                const WeightBox& box,
-                                                double scale) {
-  const int m = box.dim();
-  double t_max = 1.0;
-  for (int i = 0; i < m; ++i) {
-    double dir = p[i] - a[i];
-    if (dir > 0) {
-      t_max = std::min(t_max, (box.hi[i] - a[i]) / dir);
-    } else if (dir < 0) {
-      t_max = std::min(t_max, (box.lo[i] - a[i]) / dir);
-    }
-  }
-  if (t_max < 0) return std::nullopt;
-  double t = std::clamp(t_max * scale, 0.0, 1.0);
-  std::vector<double> out(m);
-  for (int i = 0; i < m; ++i) {
-    out[i] = std::clamp(a[i] + t * (p[i] - a[i]), box.lo[i], box.hi[i]);
-  }
-  return out;
-}
-
 /// Pairwise mass-transfer local search: move weight between two attributes
 /// (preserving Σw = 1 exactly) whenever it improves the true error. Step
 /// sizes shrink geometrically; every accepted move restarts the step ladder.

@@ -69,7 +69,8 @@ double MaxWidth(const WeightBox& box) {
 
 Result<std::vector<double>> GridLowerBoundSeed(const Dataset& data,
                                                const Ranking& given,
-                                               const GridSeedOptions& options) {
+                                               const GridSeedOptions& options,
+                                               const Deadline& deadline) {
   const int m = data.num_attributes();
   std::priority_queue<ScoredBox, std::vector<ScoredBox>, BoxOrder> open;
 
@@ -88,7 +89,8 @@ Result<std::vector<double>> GridLowerBoundSeed(const Dataset& data,
   int evaluations = 1;
   std::vector<double> best_point;
   long best_upper = -1;
-  while (!open.empty() && evaluations < options.max_cells) {
+  while (!open.empty() && evaluations < options.max_cells &&
+         !deadline.Expired()) {
     ScoredBox top = open.top();
     open.pop();
     if (best_upper >= 0 && top.lower_bound >= best_upper) {
@@ -146,10 +148,9 @@ std::vector<double> RandomSeed(int num_attributes, Rng* rng) {
   return rng->NextSimplexPoint(num_attributes);
 }
 
-std::vector<PortfolioSeed> BuildPortfolioSeeds(const Dataset& data,
-                                               const Ranking& given,
-                                               double eps1, int count,
-                                               uint64_t stream_seed) {
+std::vector<PortfolioSeed> BuildPortfolioSeeds(
+    const Dataset& data, const Ranking& given, double eps1, int count,
+    uint64_t stream_seed, const Deadline& deadline) {
   const int m = data.num_attributes();
   std::vector<PortfolioSeed> seeds;
   if (count <= 0) return seeds;
@@ -165,9 +166,10 @@ std::vector<PortfolioSeed> BuildPortfolioSeeds(const Dataset& data,
     }
     return false;
   };
-  // Each deterministic seed is built only while a slot is open for it.
+  // Each deterministic seed is built only while a slot is open for it and
+  // the deadline has not expired.
   auto try_add = [&](const char* name, auto build) {
-    if (static_cast<int>(seeds.size()) >= count) return;
+    if (static_cast<int>(seeds.size()) >= count || deadline.Expired()) return;
     Result<std::vector<double>> w = build();
     if (!w.ok() || near_duplicate(*w)) return;  // random draw fills the slot
     seeds.push_back(PortfolioSeed{name, *std::move(w)});
@@ -178,7 +180,7 @@ std::vector<PortfolioSeed> BuildPortfolioSeeds(const Dataset& data,
   try_add("grid", [&] {
     GridSeedOptions grid_options;
     grid_options.eps1 = eps1;
-    return GridLowerBoundSeed(data, given, grid_options);
+    return GridLowerBoundSeed(data, given, grid_options, deadline);
   });
   // Random tail: stream i is disjoint from every other by construction,
   // and tied to its slot index — dropping a failed deterministic seed

@@ -17,6 +17,7 @@
 #include "ranking/ranking.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace rankhow {
 
@@ -48,10 +49,13 @@ struct GridSeedOptions {
 /// bound (Sec. IV-B). Implemented as best-first box subdivision — cells are
 /// refined in ascending lower-bound order instead of enumerating all
 /// (1/c)^m at once, which visits the same cells the exhaustive grid would
-/// but reaches the winning one much sooner.
+/// but reaches the winning one much sooner. No cell is split once
+/// `deadline` has expired; the most promising open cell then gives the
+/// seed, as when `max_cells` runs out.
 Result<std::vector<double>> GridLowerBoundSeed(
     const Dataset& data, const Ranking& given,
-    const GridSeedOptions& options = GridSeedOptions());
+    const GridSeedOptions& options = GridSeedOptions(),
+    const Deadline& deadline = Deadline(0));
 
 /// Uniform random simplex point.
 std::vector<double> RandomSeed(int num_attributes, uint64_t seed);
@@ -74,11 +78,12 @@ struct PortfolioSeed {
 /// is a pure function of (data, given, count, stream_seed) regardless of
 /// which worker later runs which seed. Deterministic generators that fail
 /// (singular fits, budget exhaustion) or duplicate an earlier seed are
-/// replaced by random draws, so exactly `count` seeds come back.
-std::vector<PortfolioSeed> BuildPortfolioSeeds(const Dataset& data,
-                                               const Ranking& given,
-                                               double eps1, int count,
-                                               uint64_t stream_seed);
+/// replaced by random draws, so exactly `count` seeds come back. No
+/// deterministic generator starts once `deadline` has expired (its slot
+/// goes to a random draw too), and the grid search stops splitting at it.
+std::vector<PortfolioSeed> BuildPortfolioSeeds(
+    const Dataset& data, const Ranking& given, double eps1, int count,
+    uint64_t stream_seed, const Deadline& deadline = Deadline(0));
 
 }  // namespace rankhow
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "core/seeding.h"
+#include "math/simplex_box.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -52,8 +53,20 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
             options_.external_stop->load(std::memory_order_relaxed));
   };
 
-  SymGdResult result;
+  // The first cell is centred on the seed. A seed outside P's weight
+  // bounds (a regression fit knows nothing of them) can leave that cell
+  // without a point inside them, so such a seed first moves toward a point
+  // of the bounds until it enters them. A seed inside is used as given.
   std::vector<double> current = seed;
+  const WeightBox bounds =
+      solver_.problem().constraints.TightenBox(WeightBox::FullSimplex(m));
+  if (!bounds.Contains(current)) {
+    RH_ASSIGN_OR_RETURN(std::vector<double> anchor,
+                        AnyPointOnSimplexBox(bounds));
+    current = BlendIntoBox(current, anchor, bounds, 1.0).value_or(anchor);
+  }
+
+  SymGdResult result;
   long current_error = -1;  // unknown until the first solve
   double cell = options_.cell_size;
 
@@ -128,13 +141,14 @@ Result<SymGdResult> SymGd::RunPortfolio() const {
   // random seeds — portfolio results are a pure function of (instance,
   // options), independent of thread schedule.
   constexpr uint64_t kPortfolioSeed = 17;
-  std::vector<PortfolioSeed> seeds =
-      BuildPortfolioSeeds(data, given, options_.solver.eps.eps1, num_seeds,
-                          kPortfolioSeed);
-  RH_CHECK(static_cast<int>(seeds.size()) == num_seeds);
-
+  // The budget covers building the seeds, not only the race.
   Deadline deadline(options_.time_budget_seconds);
   WallTimer timer;
+  std::vector<PortfolioSeed> seeds =
+      BuildPortfolioSeeds(data, given, options_.solver.eps.eps1, num_seeds,
+                          kPortfolioSeed, deadline);
+  RH_CHECK(static_cast<int>(seeds.size()) == num_seeds);
+
   std::atomic<bool> stop{false};
   std::vector<Result<SymGdResult>> outcomes(
       seeds.size(), Status::ResourceExhausted(

@@ -103,13 +103,16 @@ class SymGd {
   OptProblem& problem() { return solver_.problem(); }
 
   /// Runs the descent from a seed weight vector (must lie on the simplex).
+  /// A seed outside the weight bounds of problem().constraints is first
+  /// moved into them (BlendIntoBox toward AnyPointOnSimplexBox).
   Result<SymGdResult> Run(const std::vector<double>& seed) const;
 
   /// Multi-seed portfolio race (see the file comment): builds
   /// `options.num_seeds` diverse seeds, runs one descent per seed across
-  /// `options.solver.num_threads` pool workers under the shared
-  /// time_budget_seconds, and returns the best verified function with all
-  /// trajectories attached. Fails only if *every* seed fails.
+  /// `options.solver.num_threads` pool workers, and returns the best
+  /// verified function with all trajectories attached. One
+  /// time_budget_seconds covers building the seeds and the race. Fails
+  /// only if *every* seed fails.
   Result<SymGdResult> RunPortfolio() const;
 
  private:

@@ -43,8 +43,15 @@ int CeilLog2(int n) {
 
 }  // namespace
 
-void BatchScores(const Dataset& data, const std::vector<double>& weights,
-                 double* out, ThreadPool* pool) {
+// BatchScores and CountScoresAbove run in every weight evaluation
+// (presolve, spatial incumbents, Sym-GD cells). Their entry points sit on a
+// cache line so where their inner loops fall relative to 64-byte
+// boundaries does not depend on the size of unrelated code linked before
+// them: entered 16 bytes past a boundary, perfbench's cold_spatial ran
+// about 15 % slower on a 4-core x86-64 Xeon VM.
+__attribute__((aligned(64))) void BatchScores(
+    const Dataset& data, const std::vector<double>& weights, double* out,
+    ThreadPool* pool) {
   RH_DCHECK(static_cast<int>(weights.size()) == data.num_attributes());
   const int n = data.num_tuples();
   const int m = data.num_attributes();
@@ -171,8 +178,9 @@ void DominanceScan(const Dataset& data, int pivot, unsigned char* out,
   });
 }
 
-void CountScoresAbove(const double* scores, int n, const double* thresholds,
-                      int k, CountAboveScratch* scratch, int* counts) {
+__attribute__((aligned(64))) void CountScoresAbove(
+    const double* scores, int n, const double* thresholds, int k,
+    CountAboveScratch* scratch, int* counts) {
   if (k == 0) return;
   std::vector<int>& order = scratch->order;
   order.resize(k);

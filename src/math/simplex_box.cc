@@ -163,4 +163,27 @@ Result<std::vector<double>> AnyPointOnSimplexBox(const WeightBox& box) {
   return w;
 }
 
+std::optional<std::vector<double>> BlendIntoBox(
+    const std::vector<double>& p, const std::vector<double>& anchor,
+    const WeightBox& box, double scale) {
+  const int m = box.dim();
+  double t_max = 1.0;
+  for (int i = 0; i < m; ++i) {
+    double dir = p[i] - anchor[i];
+    if (dir > 0) {
+      t_max = std::min(t_max, (box.hi[i] - anchor[i]) / dir);
+    } else if (dir < 0) {
+      t_max = std::min(t_max, (box.lo[i] - anchor[i]) / dir);
+    }
+  }
+  if (t_max < 0) return std::nullopt;
+  double t = std::clamp(t_max * scale, 0.0, 1.0);
+  std::vector<double> out(m);
+  for (int i = 0; i < m; ++i) {
+    out[i] = std::clamp(anchor[i] + t * (p[i] - anchor[i]), box.lo[i],
+                        box.hi[i]);
+  }
+  return out;
+}
+
 }  // namespace rankhow

@@ -11,6 +11,7 @@
 /// W = { w : sum w = 1, lo <= w <= hi }, which this file computes with a
 /// greedy fractional-knapsack argument in O(m log m).
 
+#include <optional>
 #include <vector>
 
 #include "util/status.h"
@@ -61,6 +62,15 @@ DotRange DotRangeOnFullSimplex(const std::vector<double>& d);
 /// Returns a point of box ∩ simplex (the "most interior" greedy point), or
 /// kInfeasible. Used to seed evaluations inside SYM-GD cells.
 Result<std::vector<double>> AnyPointOnSimplexBox(const WeightBox& box);
+
+/// Moves simplex point `p` toward `anchor`, a point of box ∩ simplex, until
+/// it enters the box: the point anchor + t·(p − anchor), with t = `scale`
+/// times the largest t in [0, 1] that keeps it in the box. Both ends lie on the
+/// simplex, so every such point does; scale 1 keeps as much of `p` as the
+/// box allows. With an anchor outside the box the result may be nullopt.
+std::optional<std::vector<double>> BlendIntoBox(
+    const std::vector<double>& p, const std::vector<double>& anchor,
+    const WeightBox& box, double scale);
 
 }  // namespace rankhow
 

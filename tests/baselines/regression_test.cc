@@ -1,9 +1,18 @@
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/linear_regression.h"
 #include "baselines/ordinal_regression.h"
 #include "data/synthetic.h"
 #include "ranking/score_ranking.h"
+#include "math/linalg.h"
 #include "util/random.h"
 
 namespace rankhow {
@@ -168,6 +177,201 @@ TEST_P(OrdinalRegressionPropertyTest, WeightsOnSimplexAndPenaltySane) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrdinalRegressionPropertyTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+/// The subgradient fit without the screen: every pair, every iteration.
+/// Pairs, margins, step sizes, projection and accumulation order are those
+/// of src/baselines/ordinal_regression.cc (no (last-ranked, ⊥) sampling:
+/// the instances below have fewer than 20 000 unranked tuples).
+OrdinalRegressionFit UnscreenedSubgradientFit(const Dataset& data,
+                                              const Ranking& given,
+                                              double margin) {
+  struct Pair {
+    int above;
+    int below;
+    bool tie;
+  };
+  const std::vector<int>& ranked = given.ranked_tuples();
+  std::vector<Pair> pairs;
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    for (size_t j = i + 1; j < ranked.size() &&
+                           given.position(ranked[j]) ==
+                               given.position(ranked[i]);
+         ++j) {
+      pairs.push_back({ranked[i], ranked[j], true});
+    }
+  }
+  for (size_t i = 0; i + 1 < ranked.size(); ++i) {
+    for (size_t j = i + 1; j < ranked.size(); ++j) {
+      if (given.position(ranked[j]) > given.position(ranked[i])) {
+        pairs.push_back({ranked[i], ranked[j], false});
+        break;
+      }
+    }
+  }
+  int worst_position = 0;
+  for (int t : ranked) {
+    worst_position = std::max(worst_position, given.position(t));
+  }
+  int last_front = -1;
+  for (int t : ranked) {
+    if (given.position(t) == worst_position) {
+      last_front = t;
+      break;
+    }
+  }
+  for (int t = 0; t < given.num_tuples(); ++t) {
+    if (!given.IsRanked(t)) pairs.push_back({last_front, t, false});
+  }
+
+  const int m = data.num_attributes();
+  std::vector<double> diffs(pairs.size() * m);
+  std::vector<double> margins(pairs.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    data.DiffVectorInto(pairs[p].above, pairs[p].below, diffs.data() + p * m);
+    margins[p] =
+        pairs[p].tie || !given.IsRanked(pairs[p].below) ? 0 : margin;
+  }
+  auto project = [](std::vector<double> v) {
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end(), std::greater<double>());
+    double cumsum = 0;
+    double theta = 0;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      cumsum += sorted[i];
+      double candidate = (cumsum - 1.0) / static_cast<double>(i + 1);
+      if (sorted[i] - candidate > 0) theta = candidate;
+    }
+    for (double& x : v) x = std::max(0.0, x - theta);
+    return v;
+  };
+
+  std::vector<double> w(m, 1.0 / m);
+  std::vector<double> best = w;
+  double best_loss = std::numeric_limits<double>::infinity();
+  std::vector<double> grad(m);
+  for (int iter = 0; iter < 1500; ++iter) {
+    grad.assign(m, 0.0);
+    double loss = 0;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const double* d = diffs.data() + p * m;
+      double diff = 0;
+      for (int a = 0; a < m; ++a) diff += w[a] * d[a];
+      if (pairs[p].tie) {
+        double excess = std::abs(diff) - 0.0;
+        if (excess > 0) {
+          loss += excess;
+          double sign = diff > 0 ? 1.0 : -1.0;
+          for (int a = 0; a < m; ++a) grad[a] += sign * d[a];
+        }
+      } else {
+        double short_by = margins[p] - diff;
+        if (short_by > 0) {
+          loss += short_by;
+          for (int a = 0; a < m; ++a) grad[a] -= d[a];
+        }
+      }
+    }
+    if (loss < best_loss) {
+      best_loss = loss;
+      best = w;
+      if (loss == 0) break;
+    }
+    double grad_norm = std::sqrt(Dot(grad, grad));
+    if (grad_norm < 1e-15) break;
+    double lr = 0.05 / (1.0 + 0.05 * iter) / grad_norm;
+    for (int a = 0; a < m; ++a) w[a] -= lr * grad[a];
+    w = project(std::move(w));
+  }
+  OrdinalRegressionFit fit;
+  fit.weights = best;
+  fit.penalty = best_loss;
+  return fit;
+}
+
+struct ScreenInstance {
+  Dataset data;
+  Ranking given;
+  double margin;
+};
+
+/// n in [20, 600], m in [1, 8], each attribute on its own scale in
+/// [1e-3, 1e4]; some rows copied onto others (zero difference vectors);
+/// the ranking is a noisy linear score rounded to a coarse grid, so ranked
+/// tuples tie; the margin is 0 or positive.
+ScreenInstance MakeScreenInstance(uint64_t seed) {
+  Rng rng(seed);
+  const int n = static_cast<int>(rng.NextInt(20, 600));
+  const int m = static_cast<int>(rng.NextInt(1, 8));
+  std::vector<std::string> names;
+  std::vector<double> scale(m);
+  for (int a = 0; a < m; ++a) {
+    names.push_back("A" + std::to_string(a));
+    scale[a] = std::pow(10.0, rng.NextUniform(-3, 4));
+  }
+  Dataset data(names, n);
+  for (int t = 0; t < n; ++t) {
+    for (int a = 0; a < m; ++a) {
+      data.set_value(t, a, scale[a] * rng.NextDouble());
+    }
+  }
+  const int copies = static_cast<int>(rng.NextInt(0, n / 8));
+  for (int c = 0; c < copies; ++c) {
+    const int from = static_cast<int>(rng.NextBelow(n));
+    const int to = static_cast<int>(rng.NextBelow(n));
+    for (int a = 0; a < m; ++a) data.set_value(to, a, data.value(from, a));
+  }
+  // Scores in units of the attributes' own scales, so every attribute
+  // matters to the ranking whatever its magnitude.
+  const std::vector<double> w_true = rng.NextSimplexPoint(m);
+  const double noise = rng.NextUniform(0, 0.3);
+  const double grid = rng.NextBelow(2) == 0 ? 1e-9 : 0.02;
+  std::vector<double> score(n);
+  for (int t = 0; t < n; ++t) {
+    double s = noise * rng.NextGaussian();
+    for (int a = 0; a < m; ++a) s += w_true[a] * data.value(t, a) / scale[a];
+    score[t] = std::round(s / grid) * grid;
+  }
+  const int k = static_cast<int>(rng.NextInt(2, std::min(40, n - 1)));
+  Ranking given = Ranking::FromScores(score, k, 0.0);
+  const double margin =
+      rng.NextBelow(3) == 0
+          ? 0.0
+          : std::pow(10.0, rng.NextUniform(-6, 0)) *
+                *std::max_element(scale.begin(), scale.end());
+  return {std::move(data), std::move(given), margin};
+}
+
+bool SameBits(const OrdinalRegressionFit& a, const OrdinalRegressionFit& b) {
+  return a.weights.size() == b.weights.size() &&
+         std::memcmp(a.weights.data(), b.weights.data(),
+                     a.weights.size() * sizeof(double)) == 0 &&
+         std::memcmp(&a.penalty, &b.penalty, sizeof(double)) == 0;
+}
+
+// The screened subgradient path visits only the pairs it cannot rule out;
+// its weights and penalty must equal, bit for bit, those of the loop that
+// visits every pair.
+TEST(OrdinalRegressionTest, ScreenedSubgradientMatchesUnscreenedLoop) {
+  int mismatches = 0;
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    ScreenInstance inst = MakeScreenInstance(seed);
+    OrdinalRegressionOptions options;
+    options.margin = inst.margin;
+    options.max_lp_pairs = 0;  // always the subgradient path
+    auto fit = FitOrdinalRegression(inst.data, inst.given, options);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    ASSERT_FALSE(fit->exact_lp);
+    const OrdinalRegressionFit reference =
+        UnscreenedSubgradientFit(inst.data, inst.given, inst.margin);
+    if (!SameBits(*fit, reference)) {
+      ++mismatches;
+      ADD_FAILURE() << "seed " << seed << " (n " << inst.data.num_tuples()
+                    << ", m " << inst.data.num_attributes() << "): penalty "
+                    << fit->penalty << " vs " << reference.penalty;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
 
 }  // namespace
 }  // namespace rankhow

@@ -119,6 +119,29 @@ TEST(SeedingTest, PortfolioBuildsOnlyTheSeedsItKeeps) {
   EXPECT_EQ(seeds[1].weights, *LinearRegressionSeed(data, given));
 }
 
+// Past the deadline no deterministic generator starts and the grid search
+// splits no cell. The deadline has expired before either call, so the
+// outcome does not depend on timing.
+TEST(SeedingTest, ExpiredDeadlineLeavesOnlyRandomSeeds) {
+  Instance inst = LinearInstance(6, {0.5, 0.3, 0.2}, 80, 6);
+  const Deadline expired(1e-9);
+  while (!expired.Expired()) {
+  }
+
+  std::vector<PortfolioSeed> seeds = BuildPortfolioSeeds(
+      inst.data, inst.given, 1e-6, /*count=*/4, /*stream_seed=*/7, expired);
+  ASSERT_EQ(seeds.size(), 4u);
+  for (const PortfolioSeed& seed : seeds) {
+    EXPECT_EQ(seed.name.rfind("random-", 0), 0u) << seed.name;
+    ExpectSimplex(seed.weights);
+  }
+
+  auto grid =
+      GridLowerBoundSeed(inst.data, inst.given, GridSeedOptions(), expired);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  EXPECT_EQ(*grid, *AnyPointOnSimplexBox(WeightBox::FullSimplex(3)));
+}
+
 TEST(SeedingTest, RandomSeedDeterministicPerSeed) {
   auto a = RandomSeed(4, 7);
   auto b = RandomSeed(4, 7);

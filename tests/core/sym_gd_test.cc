@@ -1,8 +1,12 @@
 #include "core/sym_gd.h"
 
+#include <numeric>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/seeding.h"
+#include "data/nba.h"
 #include "data/synthetic.h"
 #include "ranking/score_ranking.h"
 #include "util/random.h"
@@ -164,10 +168,57 @@ TEST(SymGdTest, RespectsProblemConstraints) {
   options.solver.eps = TestEps();
   SymGd symgd(inst.data, inst.given, options);
   symgd.problem().constraints.AddMinWeight(2, 0.4, "keep_A3");
-  // Seed must satisfy the constraint for the first cell to be feasible.
+  // A seed inside the weight bounds is used as given;
+  // MovesSeedOutsideWeightBoundsIntoThem covers one outside them.
   auto result = symgd.Run({0.3, 0.3, 0.4});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->function.weights[2], 0.4 - 1e-6);
+}
+
+// A regression seed knows nothing of P's weight bounds. With a floor of
+// 0.5 on one attribute the ordinal-regression seed lies far below it, and
+// a first cell centred there would not meet the bounds; Run moves the seed
+// into them first. The descent must then succeed, keep the floor, and
+// reach no better than the proven optimum.
+TEST(SymGdTest, MovesSeedOutsideWeightBoundsIntoThem) {
+  const NbaData nba = GenerateNba({.num_tuples = 22840, .seed = 1});
+  const int n = 300;
+  std::vector<int> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  Dataset data = nba.table.SelectTuples(rows).SelectAttributes({0, 1, 2, 3, 4});
+  data.NormalizeMinMax();
+  std::vector<double> score(nba.mp_times_per.begin(),
+                            nba.mp_times_per.begin() + n);
+  Ranking given = Ranking::FromScores(score, 6, 0.0);
+  EpsilonConfig eps;
+  eps.tie_eps = 5e-5;
+  eps.eps1 = 1e-4;
+  eps.eps2 = 0.0;
+  auto seed = OrdinalRegressionSeed(data, given, eps.eps1);
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+
+  for (int attr = 1; attr <= 4; ++attr) {
+    SCOPED_TRACE("floor on attribute " + std::to_string(attr));
+    ASSERT_LT((*seed)[attr], 0.5 - 0.1);  // outside, beyond half a cell
+
+    RankHowOptions solver_options;
+    solver_options.eps = eps;
+    solver_options.num_threads = 1;
+    RankHow exact(data, given, solver_options);
+    exact.problem().constraints.AddMinWeight(attr, 0.5);
+    auto optimum = exact.Solve();
+    ASSERT_TRUE(optimum.ok()) << optimum.status().ToString();
+    ASSERT_TRUE(optimum->proven_optimal);
+
+    SymGdOptions options;
+    options.solver = solver_options;
+    SymGd symgd(data, given, options);
+    symgd.problem().constraints.AddMinWeight(attr, 0.5);
+    auto result = symgd.Run(*seed);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GE(result->function.weights[attr], 0.5 - 1e-9);
+    EXPECT_GE(result->error, optimum->error);
+  }
 }
 
 TEST(SymGdTest, RejectsBadSeedArity) {

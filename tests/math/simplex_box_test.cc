@@ -81,6 +81,25 @@ TEST(AnyPointTest, ReturnsInteriorFeasiblePoint) {
   EXPECT_TRUE(box.Contains(*w, 1e-9));
 }
 
+// A simplex point outside the box moves toward the anchor until it reaches
+// the box's boundary, staying on the simplex; a point inside stays put.
+TEST(BlendIntoBoxTest, StopsAtTheBoxBoundaryOnTheSimplex) {
+  WeightBox box = WeightBox::FullSimplex(3);
+  box.lo[1] = 0.5;
+  const std::vector<double> anchor = *AnyPointOnSimplexBox(box);
+
+  auto moved = BlendIntoBox({0.8, 0.1, 0.1}, anchor, box, 1.0);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_NEAR((*moved)[1], 0.5, 1e-12);
+  EXPECT_NEAR(std::accumulate(moved->begin(), moved->end(), 0.0), 1.0, 1e-12);
+  EXPECT_TRUE(box.Contains(*moved));
+
+  const std::vector<double> inside = {0.1, 0.7, 0.2};
+  auto kept = BlendIntoBox(inside, anchor, box, 1.0);
+  ASSERT_TRUE(kept.has_value());
+  for (int a = 0; a < 3; ++a) EXPECT_NEAR((*kept)[a], inside[a], 1e-15);
+}
+
 // Property: the greedy exact range bounds every sampled feasible point, and
 // is attained (within tolerance) by some sampled point when sampling densely.
 class DotRangePropertyTest : public ::testing::TestWithParam<uint64_t> {};
