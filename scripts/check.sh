@@ -15,7 +15,10 @@
 #     code built on them, the LP engine with the MILP search over it, and
 #     the core and math suites (spatial search, indicator fixing, box
 #     geometry) (`ctest -L 'kernels|lp|search'`). The build passes
-#     -fno-sanitize-recover=undefined, so any UBSan report fails its test.
+#     -fno-sanitize-recover=undefined, so any UBSan report fails its test;
+#   * native — the same labelled suites in a -DRANKHOW_NATIVE=ON build, so
+#     -march=native (FMA, wider vectors) keeps every bit-identity and
+#     work-count golden.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,5 +64,13 @@ echo "== ubsan: UB-sanitized build + ctest -L 'kernels|lp|search' =="
 cmake --preset ubsan
 cmake --build --preset ubsan -j
 ctest --preset ubsan
+
+echo "== native: -march=native build + ctest -L 'kernels|lp|search' =="
+# RANKHOW_NATIVE=ON lets the compiler use the machine's widest vector units
+# and, on most x86-64 machines, FMA. The kernel bit-identity tests, the LP
+# equivalence suites and the work-count goldens must hold there too.
+cmake -B build-native -S . -DRANKHOW_NATIVE=ON
+cmake --build build-native -j
+(cd build-native && ctest --output-on-failure -L 'kernels|lp|search')
 
 echo "check.sh: all gates passed"

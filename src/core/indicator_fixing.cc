@@ -1,6 +1,8 @@
 #include "core/indicator_fixing.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <numeric>
 
 #include "data/kernels.h"
@@ -41,6 +43,103 @@ FixingState FixingState::FromSummary(const FixingSummary& summary) {
   return state;
 }
 
+double ScoreRangeGuard(double scale, int m) {
+  // A computed range endpoint sums at most 2m products whose weights add up
+  // to 1 within O(m·u), so it errs by a few m·u·Σ|d_a| at most (u = 2⁻⁵³),
+  // and rounding d = A(s) − A(r) adds u·(Σ|A(s)| + Σ|A(r)|); a score errs by
+  // m·u·Σ|A(t)|. The relative factor is far above their sum for any m, and
+  // DBL_MIN covers subnormal products, whose rounding is absolute.
+  const double rel = std::max(1e-11, 64.0 * m * DBL_EPSILON);
+  return rel * 2 * scale + DBL_MIN;
+}
+
+namespace {
+
+/// Counts pair (s, group.tuple) with computed range [lo, hi] into its group
+/// and the summary's fixing slack.
+void RecordPair(int s, double lo, double hi, PairFixing fixing,
+                TupleFixing* group, FixingSummary* summary) {
+  switch (fixing) {
+    case PairFixing::kOne:
+      ++group->fixed_one;
+      summary->min_fixed_one_diff = std::min(summary->min_fixed_one_diff, lo);
+      break;
+    case PairFixing::kZero:
+      ++group->fixed_zero;
+      summary->max_fixed_zero_diff = std::max(summary->max_fixed_zero_diff, hi);
+      break;
+    case PairFixing::kFree:
+      group->free.push_back(FreePair{s, lo, hi});
+      break;
+  }
+}
+
+void CloseGroup(TupleFixing group, FixingSummary* summary) {
+  summary->total_fixed_one += group.fixed_one;
+  summary->total_fixed_zero += group.fixed_zero;
+  summary->total_free += static_cast<long>(group.free.size());
+  summary->groups.push_back(std::move(group));
+}
+
+/// The fixing over a box that is not the full simplex, screened by the
+/// tuples' score ranges. Over box ∩ simplex, w·d(s,r) lies in
+/// [min f(s) − max f(r), max f(s) − min f(r)], so a pair whose bound is
+/// already past ε₁ or ε₂ is fixed without its own range. Its range is still
+/// computed when the bound could move the recorded slack (a fixed-one
+/// bound below the running min_fixed_one_diff, a fixed-zero bound above
+/// the running max_fixed_zero_diff), so the slack is the pairwise loop's.
+Status ScreenedFixing(const Dataset& data, const std::vector<int>& tuples,
+                      const WeightBox& box, double eps1, double eps2,
+                      FixingSummary* summary) {
+  const int n = data.num_tuples();
+  const int m = data.num_attributes();
+  summary->score_min.resize(n);
+  summary->score_max.resize(n);
+  kernels::ScoreRangeOnSimplexBox(data, box, summary->score_min.data(),
+                                  summary->score_max.data());
+  const double* score_min = summary->score_min.data();
+  const double* score_max = summary->score_max.data();
+  for (int a = 0; a < m; ++a) {
+    const double* col = data.column_data(a);
+    double col_max = 0;
+    for (int t = 0; t < n; ++t) col_max = std::max(col_max, std::abs(col[t]));
+    summary->score_scale += col_max;
+  }
+  const double guard = ScoreRangeGuard(summary->score_scale, m);
+
+  std::vector<double> d(m);
+  for (int r : tuples) {
+    TupleFixing group;
+    group.tuple = r;
+    const double r_min = score_min[r];
+    const double r_max = score_max[r];
+    for (int s = 0; s < n; ++s) {
+      if (s == r) continue;
+      // At most the computed diff_min, and at least the computed diff_max.
+      const double one_bound = (score_min[s] - r_max) - guard;
+      const double zero_bound = (score_max[s] - r_min) + guard;
+      if (one_bound >= eps1 && one_bound >= summary->min_fixed_one_diff) {
+        ++group.fixed_one;
+        continue;
+      }
+      if (zero_bound <= eps2 && zero_bound < eps1 &&
+          zero_bound <= summary->max_fixed_zero_diff) {
+        ++group.fixed_zero;
+        continue;
+      }
+      data.DiffVectorInto(s, r, d.data());
+      RH_ASSIGN_OR_RETURN(DotRange range, DotRangeOnSimplexBox(d, box));
+      RecordPair(s, range.min, range.max,
+                 ClassifyPair(range.min, range.max, eps1, eps2), &group,
+                 summary);
+    }
+    CloseGroup(std::move(group), summary);
+  }
+  return Status();
+}
+
+}  // namespace
+
 Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
                                              const std::vector<int>& tuples,
                                              const WeightBox& box,
@@ -56,6 +155,10 @@ Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
 
   FixingSummary summary;
   summary.groups.reserve(tuples.size());
+  if (enable_fixing && !full_box) {
+    RH_RETURN_NOT_OK(ScreenedFixing(data, tuples, box, eps1, eps2, &summary));
+    return summary;
+  }
   std::vector<double> d(m);
   // Full-box ranges come from the batched kernel: one column-at-a-time
   // DiffRangeAgainst sweep per pivot instead of an n·m loop of value()
@@ -88,26 +191,12 @@ Result<FixingSummary> ComputeIndicatorFixing(const Dataset& data,
         lo = range->min;
         hi = range->max;
       }
-      switch (enable_fixing ? ClassifyPair(lo, hi, eps1, eps2)
-                            : PairFixing::kFree) {
-        case PairFixing::kOne:
-          ++group.fixed_one;
-          summary.min_fixed_one_diff = std::min(summary.min_fixed_one_diff, lo);
-          break;
-        case PairFixing::kZero:
-          ++group.fixed_zero;
-          summary.max_fixed_zero_diff =
-              std::max(summary.max_fixed_zero_diff, hi);
-          break;
-        case PairFixing::kFree:
-          group.free.push_back(FreePair{s, lo, hi});
-          break;
-      }
+      RecordPair(s, lo, hi,
+                 enable_fixing ? ClassifyPair(lo, hi, eps1, eps2)
+                               : PairFixing::kFree,
+                 &group, &summary);
     }
-    summary.total_fixed_one += group.fixed_one;
-    summary.total_fixed_zero += group.fixed_zero;
-    summary.total_free += static_cast<long>(group.free.size());
-    summary.groups.push_back(std::move(group));
+    CloseGroup(std::move(group), &summary);
   }
   return summary;
 }

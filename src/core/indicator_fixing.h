@@ -13,7 +13,13 @@
 ///    become constants and the local MILP collapses toward an LP.
 ///
 /// Ranges of w·d over box ∩ simplex are computed exactly with the greedy
-/// support function in math/simplex_box.h.
+/// support function in math/simplex_box.h. Over the whole simplex they come
+/// from one batched min/max sweep per group tuple. Over any other box, with
+/// fixing on, each tuple's score range over the box is computed once, and a
+/// pair whose bound from the two score ranges already decides it skips its
+/// own exact range, unless that range could move the recorded fixing slack.
+/// The result is the one the pairwise loop gives, bit for bit (DESIGN.md
+/// "Screened cell fixing and evaluation").
 
 #include <cstdint>
 #include <limits>
@@ -58,7 +64,21 @@ struct FixingSummary {
   /// instead of recompiling (±inf when nothing was fixed: always valid).
   double min_fixed_one_diff = std::numeric_limits<double>::infinity();
   double max_fixed_zero_diff = -std::numeric_limits<double>::infinity();
+  /// Filled by the screened path only (a box other than the full simplex,
+  /// fixing on), empty otherwise: [score_min[t], score_max[t]] is the range
+  /// of tuple t's score w·A(t) over box ∩ simplex
+  /// (kernels::ScoreRangeOnSimplexBox), and score_scale = Σ_a max_t |A_a(t)|
+  /// bounds every tuple's Σ_a |A_a(t)|, the scale of their rounding.
+  std::vector<double> score_min;
+  std::vector<double> score_max;
+  double score_scale = 0;
 };
+
+/// The rounding guard of anything derived from the score ranges of a
+/// FixingSummary with score scale `scale` over m attributes: it exceeds the
+/// rounding error of a pair range, of the two score ranges bounding it, and
+/// of a score computed near the box.
+double ScoreRangeGuard(double scale, int m);
 
 /// A box's fixing in the compact form a sub-box refines from: per group
 /// (in `tuples` order) the two fixed counts and the number of free pairs,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -22,7 +23,62 @@ double TightBigM(double slack) {
   return std::max(slack, kMinBigM) * (1 + 1e-9);
 }
 
+/// How far, relative to the data's scale, a tuple's max score may sit below
+/// the lowest ranked tuple's threshold and still be screened out. It lets
+/// the screen cover points up to about half this L1 distance outside
+/// box ∩ simplex; LP vertices sit within about 1e-7 of it.
+constexpr double kScreenReach = 1e-6;
+
+/// The screen over the build's tightened box, from its fixing's score
+/// ranges and the model's groups.
+ScoreScreen BuildScoreScreen(const OptProblem& problem, const WeightBox& box,
+                             const FixingSummary& fixing,
+                             const std::vector<OptModel::TupleGroup>& groups) {
+  const Dataset& data = *problem.data;
+  const int n = data.num_tuples();
+  ScoreScreen screen;
+  screen.box = box;
+  screen.scale = fixing.score_scale;
+  screen.guard = ScoreRangeGuard(screen.scale, data.num_attributes());
+  screen.lowest_ranked = std::numeric_limits<double>::infinity();
+  std::vector<char> keep(n, 0);
+  for (int r : problem.given->ranked_tuples()) {
+    screen.lowest_ranked = std::min(screen.lowest_ranked, fixing.score_min[r]);
+    keep[r] = 1;
+  }
+  screen.cut = screen.lowest_ranked + problem.eps.tie_eps -
+               (kScreenReach * screen.scale + screen.guard);
+  for (const OptModel::TupleGroup& group : groups) {
+    keep[group.tuple] = 1;
+    for (const auto& [s, var] : group.delta_vars) {
+      (void)var;
+      keep[s] = 1;
+    }
+  }
+  for (int t = 0; t < n; ++t) {
+    if (keep[t] || fixing.score_max[t] > screen.cut) {
+      screen.candidates.push_back(t);
+    }
+  }
+  return screen;
+}
+
 }  // namespace
+
+bool ScoreScreen::Covers(const std::vector<double>& w, double tie_eps) const {
+  // Clamping w into the box moves it by `excursion` in L1, and moving the
+  // clamped point to the simplex inside the box (which meets it) by
+  // |Σ clamped − 1| more.
+  double excursion = 0;
+  double sum = 0;
+  for (int a = 0; a < box.dim(); ++a) {
+    const double clamped = std::clamp(w[a], box.lo[a], box.hi[a]);
+    excursion += std::abs(w[a] - clamped);
+    sum += clamped;
+  }
+  const double dist = excursion + std::abs(sum - 1.0);
+  return cut + 2 * scale * dist + guard <= lowest_ranked + tie_eps;
+}
 
 std::vector<double> OptModel::ExtractWeights(
     const std::vector<double>& values) const {
@@ -206,6 +262,9 @@ Result<OptModel> BuildOptModel(const OptProblem& problem,
     }
 
     model.groups.push_back(std::move(group));
+  }
+  if (!fixing.score_min.empty()) {
+    model.screen = BuildScoreScreen(problem, tight, fixing, model.groups);
   }
 
   // Inversion objective (Sec. I's Kendall-tau distance): for every ranked

@@ -15,6 +15,7 @@
 /// and the Example-1 side constraints (position ranges, pairwise orders)
 /// lowered onto the same indicator variables.
 
+#include <optional>
 #include <vector>
 
 #include "core/indicator_fixing.h"
@@ -24,6 +25,33 @@
 #include "util/status.h"
 
 namespace rankhow {
+
+/// The tuples a weight evaluation near the build box has to score (DESIGN.md
+/// "Screened cell fixing and evaluation"). A tuple left out scores at or
+/// below f(r) + tie_eps for every ranked tuple r at any w the screen
+/// Covers, in floating point, so it beats none of them: counting positions
+/// over the candidates alone gives the counts a pass over all n gives.
+struct ScoreScreen {
+  /// The box the score ranges hold over: the build's tightened box.
+  WeightBox box;
+  /// Ascending: the ranked tuples, the group tuples and the s of their free
+  /// pairs, and every tuple whose max score over box ∩ simplex exceeds
+  /// `cut`.
+  std::vector<int> candidates;
+  /// The least min score over box ∩ simplex of a ranked tuple.
+  double lowest_ranked = 0;
+  double cut = 0;
+  /// Σ_a max_t |A_a(t)|, and ScoreRangeGuard of it.
+  double scale = 0;
+  double guard = 0;
+
+  /// True when the candidates suffice at `w` under tie tolerance `tie_eps`:
+  /// with dist(w) an upper bound on the L1 distance from w to box ∩
+  /// simplex, cut + 2·scale·dist(w) + guard <= lowest_ranked + tie_eps.
+  /// Every score moves by at most scale·dist(w) between w and box ∩
+  /// simplex, and `guard` covers the rounding of the ranges and scores.
+  bool Covers(const std::vector<double>& w, double tie_eps) const;
+};
 
 /// The compiled model plus the variable maps needed to interpret solutions.
 struct OptModel {
@@ -72,6 +100,11 @@ struct OptModel {
   /// Whether the model was compiled with tight per-pair big-M (patching
   /// recomputes them) or the loose-auto ablation (patching leaves them -1).
   bool built_tight_big_m = true;
+  /// Set when the fixing computed score ranges (a box other than the full
+  /// simplex, fixing on). It depends on neither ε₁, ε₂ nor the order
+  /// constraints, and it is checked against the problem's current tie_eps
+  /// at every evaluation, so no session edit that keeps the model stales it.
+  std::optional<ScoreScreen> screen;
 
   /// Extracts the weight vector from a model-variable assignment.
   std::vector<double> ExtractWeights(const std::vector<double>& values) const;

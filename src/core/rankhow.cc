@@ -11,18 +11,6 @@
 
 namespace rankhow {
 
-namespace {
-
-/// True-semantics evaluation of a weight vector against a compiled model:
-/// δ taken as "beats under the tie tolerance ε" (diff > ε), position ranges
-/// checked, Equation-(2) objective returned. This is what the paper's
-/// verification measures, and it is a *sound incumbent source* for pruning
-/// the MILP: any MILP-feasible point has every pair diff outside (ε₂, ε₁),
-/// where ε₂ <= ε < ε₁, so its MILP objective coincides with its true error —
-/// a node bound at or above a true-error incumbent cannot hide a better
-/// MILP-feasible solution. (Unlike the strict (ε₂, ε₁)-gap test, this never
-/// rejects LP-vertex weights whose binding rows sit a rounding error inside
-/// the gap.)
 std::optional<long> EvaluateOnModel(const OptProblem& problem,
                                     const OptModel& model,
                                     const std::vector<double>& w,
@@ -37,12 +25,35 @@ std::optional<long> EvaluateOnModel(const OptProblem& problem,
     values_out->assign(model.milp.lp().num_variables(), 0.0);
     for (int a = 0; a < m; ++a) (*values_out)[model.weight_vars[a]] = w[a];
   }
-  // Batched kernel scoring into a thread-local buffer: this evaluator runs
-  // once per LP vertex / sweep candidate, so the steady state should not
-  // allocate.
+  // Kernel scoring into thread-local buffers: this evaluator runs once per
+  // LP vertex / sweep candidate, so the steady state should not allocate.
+  // Near the model's cell only the screen's candidates can beat a ranked
+  // tuple, so only they (and the tuples the current order constraints
+  // name) are scored; `scores` is then valid at those tuples alone, and the
+  // positions count over `counted`.
   static thread_local std::vector<double> scores;
+  static thread_local std::vector<double> counted;
   scores.resize(data.num_tuples());
-  kernels::BatchScores(data, w, scores.data());
+  const double* counted_scores = scores.data();
+  int num_counted = data.num_tuples();
+  if (model.screen.has_value() && model.screen->Covers(w, tie_eps)) {
+    const std::vector<int>& candidates = model.screen->candidates;
+    num_counted = static_cast<int>(candidates.size());
+    counted.resize(num_counted);
+    kernels::GatherScores(data, w, candidates.data(), num_counted,
+                          counted.data());
+    for (int i = 0; i < num_counted; ++i) scores[candidates[i]] = counted[i];
+    for (const PairwiseOrderConstraint& oc : problem.order_constraints) {
+      const int pair[2] = {oc.above, oc.below};
+      double pair_scores[2];
+      kernels::GatherScores(data, w, pair, 2, pair_scores);
+      scores[oc.above] = pair_scores[0];
+      scores[oc.below] = pair_scores[1];
+    }
+    counted_scores = counted.data();
+  } else {
+    kernels::BatchScores(data, w, scores.data());
+  }
   // Order constraints are hard: reject weights that break them (allow LP
   // rounding slack).
   for (const PairwiseOrderConstraint& oc : problem.order_constraints) {
@@ -77,9 +88,11 @@ std::optional<long> EvaluateOnModel(const OptProblem& problem,
   // The objective value itself comes from the single authority so every
   // kind (position error, weighted, inversions) is priced identically here,
   // in presolve, and in the spatial search.
-  return ObjectiveOfScores(data, *problem.given, scores, tie_eps,
-                           problem.objective);
+  return ObjectiveOfScoresAmong(*problem.given, scores.data(), counted_scores,
+                                num_counted, tie_eps, problem.objective);
 }
+
+namespace {
 
 /// The branch-and-bound configuration of one indicator-MILP search (a SAT
 /// probe or the optimization itself) under `options` and `deadline`.

@@ -174,6 +174,24 @@ BoxFeasibilityOracle* EnsureWarmBoxOracle(
 SolveStrategy ResolveSolveStrategy(const OptProblem& problem,
                                    const RankHowOptions& options,
                                    const WeightBox& box);
+/// True-semantics evaluation of a weight vector against a compiled model:
+/// δ taken as "beats under the tie tolerance ε" (diff > ε), position ranges
+/// checked, Equation-(2) objective returned (nullopt when w breaks P, an
+/// order constraint or a position range); `values_out`, when given, gets
+/// the matching model-variable assignment. This is what the paper's
+/// verification measures, and it is a *sound incumbent source* for pruning
+/// the MILP: any MILP-feasible point has every pair diff outside (ε₂, ε₁),
+/// where ε₂ <= ε < ε₁, so its MILP objective coincides with its true error —
+/// a node bound at or above a true-error incumbent cannot hide a better
+/// MILP-feasible solution. (Unlike the strict (ε₂, ε₁)-gap test, this never
+/// rejects LP-vertex weights whose binding rows sit a rounding error inside
+/// the gap.) Where the model's ScoreScreen covers w it scores only the
+/// screen's candidates; the result is the same, bit for bit.
+std::optional<long> EvaluateOnModel(const OptProblem& problem,
+                                    const OptModel& model,
+                                    const std::vector<double>& w,
+                                    std::vector<double>* values_out);
+
 Result<RankHowResult> SolveOptModelMilp(const OptProblem& problem,
                                         const RankHowOptions& options,
                                         const OptModel& model,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "math/simplex_box.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -68,6 +69,34 @@ __attribute__((aligned(64))) void BatchScores(
       }
     }
   });
+}
+
+void GatherScores(const Dataset& data, const std::vector<double>& weights,
+                  const int* tuples, int count, double* out) {
+  RH_DCHECK(static_cast<int>(weights.size()) == data.num_attributes());
+  std::fill(out, out + count, 0.0);
+  for (int a = 0; a < data.num_attributes(); ++a) {
+    const double wa = weights[a];
+    if (wa == 0.0) continue;
+    const double* col = data.column_data(a);
+    for (int i = 0; i < count; ++i) out[i] += wa * col[tuples[i]];
+  }
+}
+
+void ScoreRangeOnSimplexBox(const Dataset& data, const WeightBox& box,
+                            double* lo, double* hi) {
+  const int n = data.num_tuples();
+  const int m = data.num_attributes();
+  RH_DCHECK(box.dim() == m);
+  static thread_local std::vector<double> x;
+  x.resize(m);
+  for (int t = 0; t < n; ++t) {
+    for (int a = 0; a < m; ++a) x[a] = data.column_data(a)[t];
+    // The box meets the simplex, so the range exists.
+    const DotRange range = *DotRangeOnSimplexBox(x, box);
+    lo[t] = range.min;
+    hi[t] = range.max;
+  }
 }
 
 void BatchScoresWithErrorBound(const Dataset& data,

@@ -24,6 +24,8 @@
 ///  * Optional ThreadPool parallel-for over blocks: pass a pool and tuples
 ///    above kParallelMinTuples split into disjoint contiguous chunks (one
 ///    per worker); below the threshold the pool is ignored.
+///  * GatherScores (a few selected tuples) and ScoreRangeOnSimplexBox (a
+///    per-tuple sort of m coordinates) run serially and take no pool.
 
 #include <cstdint>
 #include <functional>
@@ -34,6 +36,7 @@
 namespace rankhow {
 
 class ThreadPool;
+struct WeightBox;
 
 namespace kernels {
 
@@ -50,6 +53,22 @@ inline constexpr int kParallelMinTuples = 1 << 15;
 /// -0.0, so adding ±0.0 terms is the identity).
 void BatchScores(const Dataset& data, const std::vector<double>& weights,
                  double* out, ThreadPool* pool = nullptr);
+
+/// out[i] = Σ_a w[a]·A_a(tuples[i]) for i in [0, count): the scores of the
+/// selected tuples only, each bit-identical to BatchScores' score of that
+/// tuple (same attribute order, zero-weight columns skipped). The MILP
+/// primal heuristic's screened evaluation (DESIGN.md "Screened cell fixing
+/// and evaluation").
+void GatherScores(const Dataset& data, const std::vector<double>& weights,
+                  const int* tuples, int count, double* out);
+
+/// Per-tuple range of the score over box ∩ simplex: lo[t] and hi[t] are the
+/// min and max of w·A(t), as DotRangeOnSimplexBox computes them on the
+/// tuple's attribute vector. The box must meet the simplex
+/// (WeightBox::IntersectsSimplex). What screened indicator fixing bounds
+/// every pair of a cell with.
+void ScoreRangeOnSimplexBox(const Dataset& data, const WeightBox& box,
+                            double* lo, double* hi);
 
 /// Fused scores + certified forward error bound, the verifier's input:
 /// err[t] = (m+3)·u·Σ_a |w[a]·A_a(t)| with unit roundoff u = 2^-53 (a score

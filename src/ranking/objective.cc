@@ -37,6 +37,13 @@ long ObjectiveOfScores(const Dataset& data, const Ranking& given,
                        const std::vector<double>& scores, double tie_eps,
                        const RankingObjectiveSpec& spec) {
   RH_CHECK(static_cast<int>(scores.size()) == data.num_tuples());
+  return ObjectiveOfScoresAmong(given, scores.data(), scores.data(),
+                                data.num_tuples(), tie_eps, spec);
+}
+
+long ObjectiveOfScoresAmong(const Ranking& given, const double* scores,
+                            const double* counted, int num_counted,
+                            double tie_eps, const RankingObjectiveSpec& spec) {
   const std::vector<int>& ranked = given.ranked_tuples();
   if (spec.kind == ObjectiveKind::kInversions) {
     // Discordant ranked pairs: (a strictly above b in π) whose scores place
@@ -55,7 +62,8 @@ long ObjectiveOfScores(const Dataset& data, const Ranking& given,
     return inversions;
   }
   static thread_local std::vector<int> positions;
-  ScoreRankPositionsOf(scores, ranked, tie_eps, &positions);
+  ScoreRankPositionsAmong(scores, ranked, counted, num_counted, tie_eps,
+                          &positions);
   return PositionObjectiveOf(given, positions.data(), spec);
 }
 

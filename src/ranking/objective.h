@@ -69,6 +69,14 @@ long ObjectiveOfScores(const Dataset& data, const Ranking& given,
                        const std::vector<double>& scores, double tie_eps,
                        const RankingObjectiveSpec& spec);
 
+/// Same, with positions counted over `counted` (num_counted scores) only:
+/// `scores` must hold f(r) at every ranked tuple r, and a tuple left out of
+/// `counted` must score at or below f(r) + tie_eps for every ranked r, so
+/// that it beats none of them (ScoreRankPositionsAmong).
+long ObjectiveOfScoresAmong(const Ranking& given, const double* scores,
+                            const double* counted, int num_counted,
+                            double tie_eps, const RankingObjectiveSpec& spec);
+
 /// The position objectives (kPositionError, kWeightedPositionError) from
 /// the ρ positions of given.ranked_tuples(), `positions[i]` being that of
 /// the i-th: Σ_r penalty(π(r))·|ρ(r) − π(r)|. For callers that already

@@ -32,15 +32,24 @@ std::vector<int> ScoreRankPositions(const std::vector<double>& scores,
 void ScoreRankPositionsOf(const std::vector<double>& scores,
                           const std::vector<int>& tuples, double tie_eps,
                           std::vector<int>* positions_out) {
+  ScoreRankPositionsAmong(scores.data(), tuples, scores.data(),
+                          static_cast<int>(scores.size()), tie_eps,
+                          positions_out);
+}
+
+void ScoreRankPositionsAmong(const double* scores,
+                             const std::vector<int>& tuples,
+                             const double* counted, int num_counted,
+                             double tie_eps,
+                             std::vector<int>* positions_out) {
   const int k = static_cast<int>(tuples.size());
   static thread_local std::vector<double> thresholds;
   static thread_local kernels::CountAboveScratch scratch;
   thresholds.resize(k);
   for (int i = 0; i < k; ++i) thresholds[i] = scores[tuples[i]] + tie_eps;
   positions_out->resize(k);
-  kernels::CountScoresAbove(scores.data(), static_cast<int>(scores.size()),
-                            thresholds.data(), k, &scratch,
-                            positions_out->data());
+  kernels::CountScoresAbove(counted, num_counted, thresholds.data(), k,
+                            &scratch, positions_out->data());
   for (int& position : *positions_out) ++position;
 }
 

@@ -29,6 +29,16 @@ void ScoreRankPositionsOf(const std::vector<double>& scores,
                           const std::vector<int>& tuples, double tie_eps,
                           std::vector<int>* positions_out);
 
+/// Same, with the count over `counted` (num_counted scores) only, while
+/// each threshold f(t) + ε reads scores[t]. Equal to the count over all
+/// scores whenever every score left out of `counted` is at or below every
+/// threshold (the MILP heuristic's screened evaluation, core/rankhow.cc).
+void ScoreRankPositionsAmong(const double* scores,
+                             const std::vector<int>& tuples,
+                             const double* counted, int num_counted,
+                             double tie_eps,
+                             std::vector<int>* positions_out);
+
 /// Same, returned by value.
 std::vector<int> ScoreRankPositionsOf(const std::vector<double>& scores,
                                       const std::vector<int>& tuples,

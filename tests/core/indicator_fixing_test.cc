@@ -1,5 +1,11 @@
 #include "core/indicator_fixing.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "ranking/ranking.h"
@@ -247,6 +253,140 @@ TEST_P(RefinementTest, EqualsRecomputationDownSplitChains) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefinementTest,
                          ::testing::Range<uint64_t>(0, 80));
+
+/// The fixing loop as it was before the score-range screen: every pair's
+/// range computed exactly, over any box.
+FixingSummary PairwiseFixing(const Dataset& d, const std::vector<int>& tuples,
+                             const WeightBox& box, double eps1, double eps2) {
+  FixingSummary summary;
+  std::vector<double> diff(d.num_attributes());
+  for (int r : tuples) {
+    TupleFixing group;
+    group.tuple = r;
+    for (int s = 0; s < d.num_tuples(); ++s) {
+      if (s == r) continue;
+      d.DiffVectorInto(s, r, diff.data());
+      auto range = DotRangeOnSimplexBox(diff, box);
+      EXPECT_TRUE(range.ok()) << range.status().ToString();
+      if (!range.ok()) return summary;
+      if (range->min >= eps1) {
+        ++group.fixed_one;
+        summary.min_fixed_one_diff =
+            std::min(summary.min_fixed_one_diff, range->min);
+      } else if (range->max <= eps2) {
+        ++group.fixed_zero;
+        summary.max_fixed_zero_diff =
+            std::max(summary.max_fixed_zero_diff, range->max);
+      } else {
+        group.free.push_back(FreePair{s, range->min, range->max});
+      }
+    }
+    summary.total_fixed_one += group.fixed_one;
+    summary.total_fixed_zero += group.fixed_zero;
+    summary.total_free += static_cast<long>(group.free.size());
+    summary.groups.push_back(std::move(group));
+  }
+  return summary;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// True when the two summaries agree bit for bit on everything the
+/// pairwise loop computes: counts, free lists and the two extreme diffs.
+bool SameFixing(const FixingSummary& got, const FixingSummary& want) {
+  if (got.groups.size() != want.groups.size() ||
+      got.total_fixed_one != want.total_fixed_one ||
+      got.total_fixed_zero != want.total_fixed_zero ||
+      got.total_free != want.total_free ||
+      !SameBits(got.min_fixed_one_diff, want.min_fixed_one_diff) ||
+      !SameBits(got.max_fixed_zero_diff, want.max_fixed_zero_diff)) {
+    return false;
+  }
+  for (size_t g = 0; g < want.groups.size(); ++g) {
+    const TupleFixing& a = got.groups[g];
+    const TupleFixing& b = want.groups[g];
+    if (a.tuple != b.tuple || a.fixed_one != b.fixed_one ||
+        a.fixed_zero != b.fixed_zero || a.free.size() != b.free.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < b.free.size(); ++i) {
+      if (a.free[i].s != b.free[i].s ||
+          !SameBits(a.free[i].diff_min, b.free[i].diff_min) ||
+          !SameBits(a.free[i].diff_max, b.free[i].diff_max)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Over any box but the full simplex, ComputeIndicatorFixing decides most
+// pairs from the two tuples' score ranges and computes a pair's own range
+// only when the bound cannot decide it or could move the fixing slack. It
+// must give exactly what computing every pair gives. 240 seeded cells of
+// width 0.01 to 0.5 around random simplex points (clipped at 0 and 1),
+// n from 20 to 3 000, m from 1 to 8, per-attribute scales from 1e-3 to
+// 1e4, copied rows, and an unranked tuple as the extra group a position
+// constraint adds; the MILP's and the spatial search's thresholds.
+TEST(IndicatorFixingTest, ScreenedFixingMatchesPairwiseLoop) {
+  int differing = 0;
+  long fixed_pairs = 0;
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(1000 + seed);
+    const int n = static_cast<int>(20 * std::pow(150.0, rng.NextDouble()));
+    const int m = static_cast<int>(rng.NextInt(1, 8));
+    std::vector<std::string> names;
+    for (int a = 0; a < m; ++a) names.push_back(std::string(1, 'A' + a));
+    Dataset d(names, n);
+    double top_scale = 0;
+    std::vector<double> scale(m);
+    for (int a = 0; a < m; ++a) {
+      scale[a] = std::pow(10.0, rng.NextUniform(-3, 4));
+      top_scale = std::max(top_scale, scale[a]);
+    }
+    for (int t = 0; t < n; ++t) {
+      if (t > 0 && rng.NextDouble() < 0.15) {
+        const int src = static_cast<int>(rng.NextBelow(t));
+        for (int a = 0; a < m; ++a) d.set_value(t, a, d.value(src, a));
+        continue;
+      }
+      for (int a = 0; a < m; ++a) {
+        d.set_value(t, a, scale[a] * rng.NextDouble());
+      }
+    }
+    const int k = static_cast<int>(rng.NextInt(1, 10));
+    Ranking given =
+        Ranking::FromScores(d.Scores(rng.NextSimplexPoint(m)), k, 0.0);
+    std::vector<int> tuples = given.ranked_tuples();
+    for (int t = n - 1; t >= 0; --t) {
+      if (!given.IsRanked(t)) {
+        tuples.push_back(t);
+        break;
+      }
+    }
+    const bool spatial = rng.NextInt(0, 1) == 1;
+    const double eps2 = spatial ? 5e-5 * top_scale : 0.0;
+    const double eps1 = spatial ? eps2 + 5e-14 * top_scale : 1e-4 * top_scale;
+    const WeightBox box = WeightBox::CellAround(rng.NextSimplexPoint(m),
+                                                rng.NextUniform(0.01, 0.5));
+    ASSERT_TRUE(box.IntersectsSimplex());
+
+    auto got = ComputeIndicatorFixing(d, tuples, box, eps1, eps2);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->score_min.size(), static_cast<size_t>(n));
+    const FixingSummary want = PairwiseFixing(d, tuples, box, eps1, eps2);
+    if (!SameFixing(*got, want)) {
+      ++differing;
+      ADD_FAILURE() << "seed " << seed << ": n=" << n << " m=" << m
+                    << " k=" << k << (spatial ? " spatial" : " milp");
+    }
+    fixed_pairs += want.total_fixed_one + want.total_fixed_zero;
+  }
+  EXPECT_EQ(differing, 0);
+  EXPECT_GT(fixed_pairs, 0);
+}
 
 TEST(IndicatorFixingTest, RefinementRejectsBoxMissingSimplex) {
   Dataset d({"A", "B"}, 3);

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 
 #include "core/rankhow.h"
 #include "core/solve_session.h"
+#include "math/simplex_box.h"
 #include "util/random.h"
 
 namespace rankhow {
@@ -280,6 +282,91 @@ TEST(SolveSessionTest, EpsilonEditsPatchRhsInPlace) {
   ASSERT_TRUE(session.AppendTuple({0.5, 0.5, 0.5}).ok());
   ASSERT_TRUE(session.Solve().ok());
   EXPECT_EQ(session.stats().model_builds, 2);
+}
+
+TEST(SolveSessionTest, ScreenedModelSurvivesEpsilonPatchAndOrderRow) {
+  // A weight floor makes the model's box more than the full simplex's
+  // corner, so the build fixes through score ranges and the model keeps a
+  // score screen for its primal heuristic. The session then edits that
+  // model twice in place: an ε patch that lowers tie_eps, and an order row
+  // on a low-scoring unranked tuple the screen leaves out. Every solve must
+  // equal a cold solve of the same problem.
+  Rng rng(72);
+  const int n = 1000;
+  const int m = 3;
+  Dataset data = RandomDataset(rng, n, m);
+  std::vector<double> noisy = data.Scores({0.7, 0.2, 0.1});
+  for (double& score : noisy) score += rng.NextUniform(0.0, 0.02);
+  Ranking given = Ranking::FromScores(noisy, 6, 0.0);
+
+  RankHowOptions options;
+  options.eps.tie_eps = 1e-3;
+  options.eps.eps1 = 2e-3;
+  options.eps.eps2 = 0.0;
+  options.strategy = SolveStrategy::kIndicatorMilp;
+  SolveSession session(data, given, options);
+  WeightConstraint floor;
+  floor.terms = {{0, 1.0}};
+  floor.op = RelOp::kGe;
+  floor.rhs = 0.7;
+  floor.name = "floor0";
+  ASSERT_TRUE(session.AddWeightConstraint(floor).ok());
+
+  std::vector<double> optimum;
+  int64_t nodes = 0;
+  auto expect_cold = [&](const char* step) {
+    auto warm = session.Solve();
+    auto cold = ColdSolve(session, options);
+    ASSERT_TRUE(warm.ok()) << step << ": " << warm.status().ToString();
+    ASSERT_TRUE(cold.ok()) << step << ": " << cold.status().ToString();
+    EXPECT_TRUE(warm->proven_optimal) << step;
+    EXPECT_TRUE(cold->proven_optimal) << step;
+    EXPECT_EQ(warm->error, cold->error) << step;
+    optimum = warm->function.weights;
+    nodes = warm->stats.nodes_explored;
+  };
+  expect_cold("first solve");
+  EXPECT_EQ(session.stats().model_builds, 1);
+
+  EpsilonConfig lowered = session.problem().eps;
+  lowered.tie_eps = 0.0;
+  ASSERT_TRUE(session.SetEpsilon(lowered).ok());
+  expect_cold("tie_eps lowered");
+  EXPECT_EQ(session.stats().eps_patches, 1);
+
+  // An order constraint between two low-scoring unranked tuples, against
+  // their order at the last optimum but satisfiable elsewhere in the box:
+  // the pooled optimum breaks it, so the re-solve searches with the row.
+  ASSERT_EQ(optimum.size(), static_cast<size_t>(m));
+  const std::vector<double> scores = data.Scores(optimum);
+  std::vector<int> low(n);
+  for (int t = 0; t < n; ++t) low[t] = t;
+  std::sort(low.begin(), low.end(),
+            [&](int a, int b) { return scores[a] < scores[b]; });
+  WeightBox floor_box = WeightBox::FullSimplex(m);
+  floor_box.lo[0] = floor.rhs;
+  std::optional<PairwiseOrderConstraint> against;
+  for (int i = 0; i < 20 && !against.has_value(); ++i) {
+    for (int j = i + 1; j < 20; ++j) {
+      auto range =
+          DotRangeOnSimplexBox(data.DiffVector(low[i], low[j]), floor_box);
+      ASSERT_TRUE(range.ok());
+      if (range->max > 0.01) {
+        against = PairwiseOrderConstraint{low[i], low[j]};
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(against.has_value());
+  ASSERT_FALSE(given.IsRanked(against->above));
+  ASSERT_FALSE(given.IsRanked(against->below));
+  ASSERT_TRUE(
+      session.AddOrderConstraint(against->above, against->below).ok());
+  expect_cold("order row appended");
+  EXPECT_GT(nodes, 0) << "the re-solve closed without searching";
+  EXPECT_EQ(session.stats().model_builds, 1)
+      << "the ε patch or the order row recompiled the model";
+  EXPECT_EQ(session.stats().model_patches, 1);
 }
 
 TEST(SolveSessionTest, SessionsShareOneRankingBuffer) {

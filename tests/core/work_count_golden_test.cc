@@ -112,9 +112,11 @@ struct SymGdGolden {
 };
 
 /// Cells solve the indicator MILP, as perfbench's symgd_full does at the
-/// paper's n.
-void ExpectSymGdGolden(int n, int m, int k, double cell,
-                       const SymGdGolden& golden) {
+/// paper's n. `constrain`, when given, adds side constraints to the problem
+/// first.
+void ExpectSymGdGolden(
+    int n, int m, int k, double cell, const SymGdGolden& golden,
+    const std::function<void(const Ranking&, OptProblem*)>& constrain = {}) {
   Dataset data;
   Ranking given;
   MakeNbaInstance(n, m, k, &data, &given);
@@ -135,7 +137,9 @@ void ExpectSymGdGolden(int n, int m, int k, double cell,
   for (size_t a = 0; a < golden.seed.size(); ++a) {
     EXPECT_EQ((*seed)[a], golden.seed[a]) << "seed weight " << a;
   }
-  Result<SymGdResult> result = SymGd(data, given, options).Run(*seed);
+  SymGd descent(data, given, options);
+  if (constrain) constrain(given, &descent.problem());
+  Result<SymGdResult> result = descent.Run(*seed);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->error, golden.error);
   EXPECT_EQ(result->iterations, golden.iterations);
@@ -190,6 +194,27 @@ TEST(CoreWorkCountGoldenTest, SymGdSubgradientSeedNba3100Players5Top10) {
                      160,
                      8,
                      690});
+}
+
+// The same descent under side constraints: a weight floor (the seed moves
+// into it), an order constraint against the given order, and a position
+// range on an unranked tuple, which every cell model carries as one more
+// indicator group. Tuple 2610 is unranked and fifth at the moved seed.
+TEST(CoreWorkCountGoldenTest, SymGdNba3100Players5Top10Constrained) {
+  ExpectSymGdGolden(
+      3100, 5, 10, 0.02,
+      {{0x1.4ad470531125cp-1, 0x1.92f6e750509dbp-6, 0x1.24ac893f7a19ap-2,
+        0x0p+0, 0x1.63d93d2af488ep-5},
+       177,
+       4,
+       1400},
+      [](const Ranking& given, OptProblem* p) {
+        p->constraints.AddMinWeight(1, 0.05);
+        p->order_constraints.push_back(
+            {given.ranked_tuples()[2], given.ranked_tuples()[1]});
+        ASSERT_FALSE(given.IsRanked(2610));
+        p->position_constraints.push_back({2610, 4, 8});
+      });
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // path must produce the same bits at any worker count (1/2/8; the tsan label
 // on data_tests races this under the sanitizer). The rank-counting kernel
 // must equal a naive count on tie-heavy grids, and the objectives built on
-// it the sort-based definition it replaced.
+// it the sort-based definition it replaced. Gathered scores must equal
+// BatchScores' at the same indices, and per-tuple score ranges
+// DotRangeOnSimplexBox's, bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +22,7 @@
 
 #include "data/dataset.h"
 #include "data/kernels.h"
+#include "math/simplex_box.h"
 #include "ranking/objective.h"
 #include "ranking/ranking.h"
 #include "ranking/score_ranking.h"
@@ -163,6 +166,73 @@ TEST(KernelsTest, BatchScoresSkipsZeroWeightColumnsWithoutChangingBits) {
   kernels::BatchScores(d, w, batched.data());
   for (int t = 0; t < n; ++t) {
     EXPECT_EQ(batched[t], d.ScoreOf(t, w)) << "t=" << t;
+  }
+}
+
+TEST(KernelsTest, GatherScoresBitIdenticalToBatchScores) {
+  for (int n : kBoundarySizes) {
+    const int m = 5;
+    Dataset d = TieHeavyDataset(n, m, /*seed=*/700 + n, /*tie_eps=*/1e-9);
+    // Signed zeros in the columns, and a negated one: ±0.0 terms must add
+    // exactly as they do in BatchScores.
+    d.NegateColumn(4);
+    for (int t = 0; t < n; t += 3) d.set_value(t, t % m, t % 2 ? -0.0 : 0.0);
+    std::vector<double> w = RandomSimplexWeights(m, /*seed=*/n + 2);
+    w[1] = 0.0;
+    w[3] = -0.0;
+    std::vector<double> full(n);
+    kernels::BatchScores(d, w, full.data());
+    // Every index once, shuffled so consecutive reads jump across blocks,
+    // plus repeats.
+    Rng rng(n);
+    std::vector<int> idx(n);
+    for (int t = 0; t < n; ++t) idx[t] = t;
+    rng.Shuffle(&idx);
+    for (int i = 0; i < 5; ++i) idx.push_back(static_cast<int>(rng.NextBelow(n)));
+    const int count = static_cast<int>(idx.size());
+    std::vector<double> got(count);
+    kernels::GatherScores(d, w, idx.data(), count, got.data());
+    std::vector<double> want(count);
+    for (int i = 0; i < count; ++i) want[i] = full[idx[i]];
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(double)), 0)
+        << "n=" << n;
+  }
+}
+
+TEST(KernelsTest, ScoreRangeOnSimplexBoxBitIdenticalToDotRange) {
+  Rng rng(41);
+  for (int m : {1, 2, 3, 5, 8, 17}) {
+    for (int n : {1, 7, 2049}) {
+      Dataset d = TieHeavyDataset(n, m, /*seed=*/900 + 10 * m + n,
+                                  /*tie_eps=*/1e-9);
+      // Raw scales far from [0, 1], a negated column, and signed zeros.
+      for (int t = 0; t < n; ++t) {
+        d.set_value(t, 0, d.value(t, 0) * 1e4);
+        if (m > 1) d.set_value(t, m - 1, d.value(t, m - 1) * 1e-3);
+      }
+      if (m > 2) d.NegateColumn(1);
+      for (int t = 0; t < n; t += 5) d.set_value(t, t % m, t % 2 ? -0.0 : 0.0);
+      std::vector<WeightBox> boxes = {WeightBox::FullSimplex(m)};
+      for (double width : {0.01, 0.1, 0.5}) {
+        boxes.push_back(WeightBox::CellAround(rng.NextSimplexPoint(m), width));
+      }
+      for (const WeightBox& box : boxes) {
+        if (!box.IntersectsSimplex()) continue;
+        std::vector<double> lo(n);
+        std::vector<double> hi(n);
+        kernels::ScoreRangeOnSimplexBox(d, box, lo.data(), hi.data());
+        std::vector<double> x(m);
+        for (int t = 0; t < n; ++t) {
+          for (int a = 0; a < m; ++a) x[a] = d.value(t, a);
+          Result<DotRange> want = DotRangeOnSimplexBox(x, box);
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          EXPECT_EQ(std::memcmp(&lo[t], &want->min, sizeof(double)), 0)
+              << "m=" << m << " n=" << n << " t=" << t;
+          EXPECT_EQ(std::memcmp(&hi[t], &want->max, sizeof(double)), 0)
+              << "m=" << m << " n=" << n << " t=" << t;
+        }
+      }
+    }
   }
 }
 
