@@ -184,7 +184,7 @@ bool EmitWarmstartJson() {
       "\"warm_solves\": %lld, \"cold_solves\": %lld, "
       "\"primal_pivots\": %lld, \"dual_pivots\": %lld, "
       "\"repair_pivots\": %lld, \"bound_flips\": %lld, "
-      "\"rebuilds\": %lld},\n"
+      "\"rebuilds\": %lld, \"certified_infeasible\": %lld},\n"
       "  \"speedup\": %.3f,\n"
       "  \"pivot_ratio\": %.3f\n"
       "}\n",
@@ -193,7 +193,8 @@ bool EmitWarmstartJson() {
       (long long)warm_stats.warm_solves, (long long)warm_stats.cold_solves,
       (long long)warm_stats.primal_pivots, (long long)warm_stats.dual_pivots,
       (long long)warm_stats.repair_pivots, (long long)warm_stats.bound_flips,
-      (long long)warm_stats.rebuilds, speedup, pivot_ratio);
+      (long long)warm_stats.rebuilds,
+      (long long)warm_stats.certified_infeasible, speedup, pivot_ratio);
   std::fclose(f);
   std::printf("(written to BENCH_lp_warmstart.json)\n");
   return true;

@@ -112,8 +112,8 @@ struct SpatialBnbStats {
   /// P-feasibility LP queries and the simplex pivots they cost (zero when P
   /// has no general rows — pure box/simplex feasibility needs no LP at
   /// all). lp_warm_solves counts oracle resolves from a persisted basis;
-  /// lp_cold_solves counts fresh factorizations (the oracle's first solve,
-  /// its rebuilds, and every per-box cold SimplexSolver query).
+  /// lp_cold_solves counts the oracle's first solve and every per-box cold
+  /// SimplexSolver query (the oracle's rebuilds are not counted here).
   int64_t lp_solves = 0;
   int64_t lp_pivots = 0;
   int64_t lp_warm_solves = 0;

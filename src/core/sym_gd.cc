@@ -100,6 +100,9 @@ Result<SymGdResult> SymGd::Run(const std::vector<double>& seed) const {
       result.total_lp_pivots += step->stats.lp_iterations;
       result.total_lp_warm_solves += step->stats.lp_warm_solves;
       result.total_lp_cold_solves += step->stats.lp_cold_solves;
+      result.total_lp_rebuilds += step->stats.lp_rebuilds;
+      result.total_lp_certified_infeasible +=
+          step->stats.lp_certified_infeasible;
 
       bool improved = current_error < 0 || step->error < current_error;
       if (current_error < 0 || step->error <= current_error) {
@@ -222,6 +225,8 @@ Result<SymGdResult> SymGd::RunPortfolio() const {
   result.total_lp_pivots = 0;
   result.total_lp_warm_solves = 0;
   result.total_lp_cold_solves = 0;
+  result.total_lp_rebuilds = 0;
+  result.total_lp_certified_infeasible = 0;
   result.portfolio.reserve(seeds.size());
   for (size_t i = 0; i < seeds.size(); ++i) {
     SeedRun run;
@@ -237,6 +242,9 @@ Result<SymGdResult> SymGd::RunPortfolio() const {
       result.total_lp_pivots += outcomes[i]->total_lp_pivots;
       result.total_lp_warm_solves += outcomes[i]->total_lp_warm_solves;
       result.total_lp_cold_solves += outcomes[i]->total_lp_cold_solves;
+      result.total_lp_rebuilds += outcomes[i]->total_lp_rebuilds;
+      result.total_lp_certified_infeasible +=
+          outcomes[i]->total_lp_certified_infeasible;
     }
     result.portfolio.push_back(std::move(run));
   }

@@ -86,6 +86,9 @@ struct SymGdResult {
   long total_lp_pivots = 0;
   long total_lp_warm_solves = 0;
   long total_lp_cold_solves = 0;
+  /// BnbStats::lp_rebuilds and lp_certified_infeasible, summed the same way.
+  long total_lp_rebuilds = 0;
+  long total_lp_certified_infeasible = 0;
   /// Per-seed trajectories (RunPortfolio only; index 0 is the winner's
   /// seed order position, not its rank).
   std::vector<SeedRun> portfolio;

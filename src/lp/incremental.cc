@@ -20,6 +20,22 @@ inline double FeasTol(double bound) {
 
 inline bool Finite(double v) { return std::isfinite(v); }
 
+/// Pivot-row entries below this magnitude, after scaling, are zeroed: they
+/// are elimination round-off, not structure, and each one kept would be
+/// eliminated into every touched row at every later pivot. 100x below
+/// kPivotTol, so no such entry could have been chosen as a pivot.
+constexpr double kFillDropTol = 1e-11;
+
+/// A pivot whose scaled pivot row holds an entry above this multiplies the
+/// round-off of every row it touches by as much, which can carry it past the
+/// 1e-7 post-solve check: from then on a point can pass that check and still
+/// be a suboptimal vertex, so the solve is repeated on a rebuilt tableau.
+constexpr double kGrowthLimit = 1e9;
+
+/// Relative margin of the Farkas test: the certificate must clear its bound
+/// by this much times the summed magnitudes of the terms.
+constexpr double kFarkasMargin = 1e-9;
+
 }  // namespace
 
 IncrementalLp::IncrementalLp(const LpModel& base) {
@@ -208,6 +224,7 @@ void IncrementalLp::Factorize() {
     ApplyColumnBoundsStatus(j);
   }
   factorized_ = true;
+  unstable_ = false;
   pivots_since_factorize_ = 0;
 }
 
@@ -215,21 +232,30 @@ void IncrementalLp::PivotTab(int row, int col) {
   const int ncols = static_cast<int>(d_.size());
   std::vector<double>& pr = tab_[row];
   const double inv = 1.0 / pr[col];
-  for (int c = 0; c < ncols; ++c) pr[c] *= inv;
-  pr[col] = 1.0;  // exact
   rhs0_[row] *= inv;
-  // Row-sparse elimination. The pivot row's nonzero columns are gathered
-  // once, as the column pairs {c, c + 1} (c even) holding a nonzero, and
-  // every update below touches only those pairs, a pair at a time (one
+  // Row-sparse elimination. The pivot row is scaled, its round-off entries
+  // are dropped (kFillDropTol), and its nonzero columns are gathered, all in
+  // one pass, as the column pairs {c, c + 1} (c even) holding a nonzero.
+  // Every update below touches only those pairs, a pair at a time (one
   // two-wide vector operation). Skipping an all-zero pair leaves its
   // entries as they were, except possibly for the sign of a zero, which no
-  // ratio test, tolerance check or pivot choice can see, so the search
-  // takes exactly the steps a dense update would.
+  // ratio test, tolerance check or pivot choice can see.
+  double growth = 0;
+  auto scale = [&](double& a) {
+    a *= inv;
+    if (std::abs(a) < kFillDropTol) a = 0.0;
+    growth = std::max(growth, std::abs(a));
+  };
   std::vector<int>& pairs = pivot_pairs_;
   pairs.clear();
   for (int c = 0; c + 1 < ncols; c += 2) {
+    scale(pr[c]);
+    scale(pr[c + 1]);
     if (pr[c] != 0.0 || pr[c + 1] != 0.0) pairs.push_back(c);
   }
+  if (ncols % 2 == 1) scale(pr[ncols - 1]);
+  pr[col] = 1.0;  // exact; its pair was gathered, |pr[col] * inv| being ~1
+  if (growth > kGrowthLimit) unstable_ = true;
   const bool odd_tail = ncols % 2 == 1 && pr[ncols - 1] != 0.0;
   const double* p = pr.data();
   auto eliminate = [&](double f, double* t) {
@@ -619,6 +645,7 @@ Status IncrementalLp::RunDual(const Deadline& deadline, int* iterations,
     if (q < 0) {
       // Row r proves the bound system inconsistent: no admissible column
       // can move the violated basic variable back into range.
+      infeasible_row_ = r;
       return Status::Infeasible("incremental dual simplex: no entering column");
     }
 
@@ -767,6 +794,78 @@ bool IncrementalLp::SolutionConsistent(
   return true;
 }
 
+std::vector<double> IncrementalLp::FarkasMultipliers(int row) const {
+  const int m = static_cast<int>(rows_.size());
+  const double* slack = tab_[row].data() + num_structural_;
+  std::vector<double> y(m, 0.0);
+  double largest = 0;
+  for (int i = 0; i < m; ++i) {
+    if (rows_[i].active) largest = std::max(largest, std::abs(slack[i]));
+  }
+  for (int i = 0; i < m; ++i) {
+    if (rows_[i].active && std::abs(slack[i]) >= kPivotTol * largest) {
+      y[i] = slack[i];
+    }
+  }
+  return y;
+}
+
+bool IncrementalLp::CertifiesInfeasible(const std::vector<double>& y) const {
+  RH_CHECK(y.size() == rows_.size());
+  // Every z with [A I] z = b has yᵀ[A I] z = yᵀb, so yᵀb outside the range
+  // [low, high] of yᵀ[A I] z over the bounds leaves no such z inside them.
+  // The range sums one term c_j·z_j per column; each end is widened by the
+  // margin times the term's magnitude, |c|·|bound| with |c| summed before
+  // cancellation, and yᵀb by the margin times its own.
+  double low = 0;
+  double high = 0;
+  // c is known to within ±e (its rounding error). Inside that band its sign
+  // is open, so the term needs both bounds. An infinite bound that a term
+  // needs makes its end infinite (c and c_magnitude are nonzero here, so
+  // no 0·∞ arises), and then that end certifies nothing.
+  auto add = [&](double c, double e, double c_magnitude, double lo,
+                 double hi) {
+    if (std::abs(c) <= e) {
+      const double reach = (std::abs(c) + e + kFarkasMargin * c_magnitude) *
+                           std::max(std::abs(lo), std::abs(hi));
+      low -= reach;
+      high += reach;
+      return;
+    }
+    const double at_low = c > 0 ? lo : hi;
+    const double at_high = c > 0 ? hi : lo;
+    low += c * at_low - kFarkasMargin * c_magnitude * std::abs(at_low);
+    high += c * at_high + kFarkasMargin * c_magnitude * std::abs(at_high);
+  };
+  std::vector<double> c(num_structural_, 0.0);
+  std::vector<double> c_magnitude(num_structural_, 0.0);
+  double yb = 0;
+  double yb_magnitude = 0;
+  int multipliers = 0;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (y[i] == 0.0) continue;
+    ++multipliers;
+    yb += y[i] * rows_[i].rhs;
+    yb_magnitude += std::abs(y[i] * rows_[i].rhs);
+    for (const auto& [var, coeff] : rows_[i].terms) {
+      c[var] += y[i] * coeff;
+      c_magnitude[var] += std::abs(y[i] * coeff);
+    }
+    const int scol = num_structural_ + static_cast<int>(i);
+    add(y[i], 0.0, std::abs(y[i]), lower_[scol], upper_[scol]);  // exact
+  }
+  // A sum of k products is off by at most k·DBL_EPSILON of its magnitude.
+  const double rounding =
+      (multipliers + 1) * std::numeric_limits<double>::epsilon();
+  for (int j = 0; j < num_structural_; ++j) {
+    if (c_magnitude[j] == 0.0) continue;
+    add(c[j], rounding * c_magnitude[j], c_magnitude[j], lower_[j],
+        upper_[j]);
+  }
+  const double yb_margin = kFarkasMargin * yb_magnitude;
+  return yb + yb_margin < low || yb - yb_margin > high;
+}
+
 Result<LpSolution> IncrementalLp::Solve(const LpBasis* warm,
                                         double deadline_seconds) {
   ++stats_.solves;
@@ -793,41 +892,48 @@ Result<LpSolution> IncrementalLp::Solve(const LpBasis* warm,
       if (basic_[i] < num_structural_) (*values)[basic_[i]] = beta_[i];
     }
   };
+  bool rebuilt = false;
   auto rebuild = [&] {
     ++stats_.rebuilds;
+    rebuilt = true;
     Factorize();
     return OptimizeFromCurrentBasis(deadline, &iterations);
   };
 
   Status st = OptimizeFromCurrentBasis(deadline, &iterations);
+  // A tableau that went through a high-growth pivot answers nothing, a
+  // consistent point included.
+  if (unstable_) st = rebuild();
   std::vector<double> values;
   if (st.ok()) {
     extract(&values);
-    if (!SolutionConsistent(values)) {
+    if (!SolutionConsistent(values) && !rebuilt) {
       // Drifted tableau: rebuild from the original rows and re-solve once.
       st = rebuild();
-      if (st.ok()) {
-        extract(&values);
-        if (!SolutionConsistent(values)) {
-          return Status::Numerical(
-              "incremental LP solution failed the post-solve check after a "
-              "rebuild");
-        }
-      }
+      if (st.ok()) extract(&values);
+    }
+    if (st.ok() && !SolutionConsistent(values)) {
+      return Status::Numerical(
+          "incremental LP solution failed the post-solve check after a "
+          "rebuild");
     }
   } else if (st.code() == StatusCode::kInfeasible && warm_start &&
-             verify_infeasible_ && pivots_since_factorize_ > 0) {
+             !rebuilt && pivots_since_factorize_ > 0) {
     // An infeasibility verdict reached from warm state is never trusted
-    // directly: re-confirm it on a tableau rebuilt from the original rows
-    // (equivalent to a fresh engine on the current bounds). A "pivots since
-    // factorization" drift proxy used to gate this at 512, but false
-    // verdicts were observed well below any such threshold — bound flips
-    // and row (de)activations can leave the warm basis in a state whose
-    // dual ray is an artifact of dropped tableau entries, and in
-    // branch-and-bound a single false prune silently corrupts the "proven"
-    // optimum (caught by tests/concurrency/parallel_search_test.cc's
-    // cross-strategy equivalence). Feasible verdicts need no such guard:
-    // their points are certified against the original rows below.
+    // on the tableau's word: bound flips and row (de)activations can leave
+    // the warm basis in a state whose dual ray is an artifact of dropped
+    // tableau entries, and in branch-and-bound a single false prune
+    // silently corrupts the "proven" optimum (caught by
+    // tests/concurrency/parallel_search_test.cc's cross-strategy
+    // equivalence). The verdict row's multipliers are checked as a Farkas
+    // certificate against the original rows; a verdict they do not prove is
+    // re-confirmed on a tableau rebuilt from the original rows (equivalent
+    // to a fresh engine on the current bounds). Feasible verdicts need no
+    // such guard: their points are checked against the original rows above.
+    if (CertifiesInfeasible(FarkasMultipliers(infeasible_row_))) {
+      ++stats_.certified_infeasible;
+      return st;
+    }
     st = rebuild();
     if (st.ok()) {
       extract(&values);

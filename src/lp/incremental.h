@@ -21,6 +21,15 @@
 /// flip is repaired by a few *dual* simplex pivots instead of a full
 /// Phase-1/Phase-2 restart. SimplexSolver stays as the cold-start fallback
 /// and cross-check oracle (see DESIGN.md "Incremental LP architecture").
+///
+/// One tableau can live thousands of pivots without a refactorization, so no
+/// answer rests on it alone. A feasible point is checked against the
+/// original rows. An infeasibility verdict from warm state must pass a
+/// Farkas certificate recomputed from the original rows
+/// (`CertifiesInfeasible`), or it is re-confirmed on a rebuilt tableau. A
+/// solve that pivoted on an element tiny against its row is repeated on a
+/// rebuilt tableau. Pivot-row entries below 1e-11 are dropped as round-off,
+/// which keeps the tableau as sparse as the rows it came from.
 
 #include <cstdint>
 #include <vector>
@@ -47,7 +56,8 @@ struct IncrementalLpStats {
   int64_t solves = 0;
   /// Solves that reused a persisted/imported basis.
   int64_t warm_solves = 0;
-  /// Solves from the all-slack basis (first solve + numerical rebuilds).
+  /// Solves that started from the all-slack basis: the first solve only. A
+  /// rebuild inside a solve counts in `rebuilds`, not here.
   int64_t cold_solves = 0;
   int64_t primal_pivots = 0;
   int64_t dual_pivots = 0;
@@ -57,9 +67,13 @@ struct IncrementalLpStats {
   int64_t import_pivots = 0;
   /// Nonbasic bound-to-bound moves (cheap: no elimination).
   int64_t bound_flips = 0;
-  /// Full tableau rebuilds after a failed post-solve check or to confirm an
-  /// infeasibility verdict reached from a warm basis.
+  /// Full tableau rebuilds: after a failed post-solve check, after a pivot
+  /// that multiplied round-off past the growth limit, or to confirm an
+  /// infeasibility verdict from a warm basis that no certificate proved.
   int64_t rebuilds = 0;
+  /// Infeasibility verdicts from a warm basis accepted on a Farkas
+  /// certificate (CertifiesInfeasible), without a rebuild.
+  int64_t certified_infeasible = 0;
 
   int64_t total_pivots() const {
     return primal_pivots + dual_pivots + repair_pivots + import_pivots;
@@ -109,10 +123,17 @@ class IncrementalLp {
   /// Snapshot of the current basis (after a successful Solve).
   LpBasis ExportBasis() const;
 
-  /// When true (default), an infeasibility verdict reached from a warm
-  /// tableau is re-confirmed on a freshly rebuilt one before being returned,
-  /// so accumulated elimination error cannot prune a feasible subproblem.
-  void set_verify_infeasible(bool v) { verify_infeasible_ = v; }
+  /// The safe Farkas test of Neumaier & Shcherbina (Math. Prog. 2004) on the
+  /// current rows and bounds. Every row reads a·x + s = b, with its slack s
+  /// bounded by the row's sense (free when the row is inactive). `y` holds
+  /// one multiplier per row. Returns true when yᵀb lies outside the range of
+  /// yᵀ[A I] z over the current column and slack bounds by more than 1e-9
+  /// times the summed magnitudes of the terms, which proves that no point
+  /// within the bounds satisfies the active rows. yᵀA and yᵀb are computed
+  /// from the original rows. A nonzero coefficient on a column whose needed
+  /// bound is infinite leaves that side of the range unbounded, and one
+  /// within its own rounding error of zero needs both of its column's bounds.
+  bool CertifiesInfeasible(const std::vector<double>& y) const;
 
   const IncrementalLpStats& stats() const { return stats_; }
 
@@ -146,12 +167,16 @@ class IncrementalLp {
   void ImportBasis(const LpBasis& basis, int* iterations);
   Status RunPrimal(const Deadline& deadline, int* iterations);
   /// `repair_mode`: treat all costs as zero (pure feasibility restoration).
+  /// An infeasibility verdict records its row in `infeasible_row_`.
   Status RunDual(const Deadline& deadline, int* iterations, bool repair_mode);
   Status OptimizeFromCurrentBasis(const Deadline& deadline, int* iterations);
   /// Checks the solution against original rows/bounds (magnitude-aware).
   bool SolutionConsistent(const std::vector<double>& values) const;
-
-  bool verify_infeasible_ = true;
+  /// Multipliers for CertifiesInfeasible from tableau row `row`: its slack
+  /// columns, which hold row `row` of B⁻¹. Entries of inactive rows and
+  /// entries below kPivotTol times the largest are zeroed (any y is a valid
+  /// multiplier; these only add rounding).
+  std::vector<double> FarkasMultipliers(int row) const;
 
   int num_structural_ = 0;
   LinearExpr objective_;          // original, for reporting
@@ -168,8 +193,13 @@ class IncrementalLp {
   std::vector<double> beta_;              // basic variable values
   std::vector<double> d_;                 // reduced costs
   std::vector<int> pivot_pairs_;          // PivotTab's nonzero column pairs
-  /// Pivots since the last clean factorization — the drift proxy gating
-  /// whether an infeasibility verdict needs re-confirmation on a rebuild.
+  int infeasible_row_ = -1;               // RunDual's last verdict row
+  /// Set by a pivot whose scaled pivot row exceeds kGrowthLimit (its
+  /// round-off was multiplied that much into the touched rows); cleared by
+  /// Factorize. Answers from such a tableau are re-solved on a rebuild.
+  bool unstable_ = false;
+  /// Pivots since the last clean factorization. An infeasibility verdict
+  /// reached with none read the original rows and needs no certificate.
   int64_t pivots_since_factorize_ = 0;
 
   IncrementalLpStats stats_;

@@ -566,6 +566,7 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
       stats.lp_repair_pivots += ls.repair_pivots;
       stats.lp_import_pivots += ls.import_pivots;
       stats.lp_rebuilds += ls.rebuilds;
+      stats.lp_certified_infeasible += ls.certified_infeasible;
     }
   }
   stats.seconds = timer.ElapsedSeconds();

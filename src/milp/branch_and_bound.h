@@ -96,7 +96,7 @@ struct BnbStats {
   /// failed (pruned nodes, their rebuild re-checks) add nothing, so this is
   /// not the warm engine's total pivot count: that is the sum of the four
   /// lp_*_pivots counters below (perfbench's cold_milp: lp_iterations
-  /// 8 200, pivots 56 + 13 824 + 303 + 5 641 = 19 824).
+  /// 6 397, pivots 34 + 7 062 + 311 + 3 618 = 11 025).
   /// bench_fig3jkl_scalability and bench_micro compare it between the warm
   /// and cold paths.
   int64_t lp_iterations = 0;
@@ -110,7 +110,8 @@ struct BnbStats {
   // ---- warm-start accounting (zero when use_warm_start is off) ----
   /// Node LP solves that reused the persistent tableau / a parent basis.
   int64_t lp_warm_solves = 0;
-  /// Solves from a fresh factorization (first node + numerical rebuilds).
+  /// Solves that started from the all-slack basis: each worker engine's
+  /// first node. Rebuilds count in lp_rebuilds, not here.
   int64_t lp_cold_solves = 0;
   /// Every pivot the warm engine made, by kind, whatever the solve's
   /// outcome (bound flips and cold-fallback pivots are not pivots of the
@@ -119,8 +120,11 @@ struct BnbStats {
   int64_t lp_dual_pivots = 0;
   int64_t lp_repair_pivots = 0;
   int64_t lp_import_pivots = 0;
-  /// Tableau rebuilds forced by post-solve checks / infeasibility re-checks.
+  /// Tableau rebuilds forced by post-solve checks, high-growth pivots and
+  /// infeasibility verdicts no Farkas certificate proved.
   int64_t lp_rebuilds = 0;
+  /// Warm infeasibility verdicts accepted on a Farkas certificate.
+  int64_t lp_certified_infeasible = 0;
   /// Nodes rerouted to the legacy SimplexSolver path after the warm engine
   /// reported numerical trouble.
   int64_t lp_fallback_solves = 0;

@@ -46,16 +46,25 @@ LpModel BuildCold(const Mirror& m) {
 }
 
 // Compares a warm incremental solve against the cold oracle on the current
-// mirrored state. Both must agree on feasibility; objectives must match.
+// mirrored state. Both must agree on feasibility; objectives must match,
+// within kObjTol times max(1, |objective|) when `relative_tol` is set.
+// `infeasible`, when given, is set to whether the oracle found none.
 void ExpectAgreement(IncrementalLp& inc, const Mirror& m,
-                     const std::string& context) {
+                     const std::string& context, bool* infeasible = nullptr,
+                     bool relative_tol = false) {
   auto warm = inc.Solve();
   auto cold = SimplexSolver().Solve(BuildCold(m));
+  if (infeasible != nullptr) {
+    *infeasible = cold.status().code() == StatusCode::kInfeasible;
+  }
   if (cold.ok()) {
     ASSERT_TRUE(warm.ok()) << context
                            << ": warm failed: " << warm.status().ToString()
                            << " but cold found " << cold->objective;
-    EXPECT_NEAR(warm->objective, cold->objective, kObjTol) << context;
+    const double tol =
+        relative_tol ? kObjTol * std::max(1.0, std::abs(cold->objective))
+                     : kObjTol;
+    EXPECT_NEAR(warm->objective, cold->objective, tol) << context;
   } else if (cold.status().code() == StatusCode::kInfeasible) {
     ASSERT_FALSE(warm.ok()) << context << ": warm found " << warm->objective
                             << " but cold is infeasible";
@@ -169,6 +178,67 @@ TEST(IncrementalLpTest, DetectsInfeasibilityAfterTightening) {
   auto again = inc.Solve();
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_NEAR(again->objective, 5.0, 1e-6);
+}
+
+// CertifiesInfeasible on hand-made multipliers. Rows read a·x + s = b with
+// the slack's sign set by the row's sense, so x + y >= 1.5 and x - y >= 0.8
+// over [0, 1]² add up to 2x + s0 + s1 = 2.3 with s0, s1 <= 0: the left side
+// reaches at most 2, so y = (1, 1) proves the pair infeasible.
+LpModel TwoRowSystem(double second_rhs) {
+  LpModel m;
+  int x = m.AddVariable(0, 1, "x");
+  int y = m.AddVariable(0, 1, "y");
+  m.AddConstraint(LinearExpr::Term(x, 1) + LinearExpr::Term(y, 1), RelOp::kGe,
+                  1.5);
+  m.AddConstraint(LinearExpr::Term(x, 1) + LinearExpr::Term(y, -1),
+                  RelOp::kGe, second_rhs);
+  return m;
+}
+
+TEST(FarkasCertificateTest, ValidMultipliersProveInfeasibleSystem) {
+  IncrementalLp inc(TwoRowSystem(0.8));
+  EXPECT_TRUE(inc.CertifiesInfeasible({1.0, 1.0}));
+  EXPECT_EQ(inc.Solve().status().code(), StatusCode::kInfeasible);
+}
+
+TEST(FarkasCertificateTest, SameMultipliersFailOnceARowIsRelaxed) {
+  // x - y >= 0.4 admits x = 1, y = 0.55: the combination now sums to 1.9,
+  // inside the left side's range.
+  IncrementalLp inc(TwoRowSystem(0.4));
+  EXPECT_FALSE(inc.CertifiesInfeasible({1.0, 1.0}));
+  EXPECT_TRUE(inc.Solve().ok());
+}
+
+TEST(FarkasCertificateTest, CoefficientOnUnboundedColumnFails) {
+  // 2x + z >= 3.5 with x in [0, 1]: infeasible while z <= 1, feasible once
+  // z is unbounded above, where 2x + z has no upper end.
+  LpModel m;
+  int x = m.AddVariable(0, 1, "x");
+  int z = m.AddVariable(0, 1, "z");
+  m.AddConstraint(LinearExpr::Term(x, 2) + LinearExpr::Term(z, 1), RelOp::kGe,
+                  3.5);
+  IncrementalLp inc(m);
+  EXPECT_TRUE(inc.CertifiesInfeasible({1.0}));
+  inc.SetVariableBounds(z, 0, kInfinity);
+  EXPECT_FALSE(inc.CertifiesInfeasible({1.0}));
+  EXPECT_TRUE(inc.Solve().ok());
+}
+
+TEST(FarkasCertificateTest, ViolationInsideTheMarginFails) {
+  // x + y = 1 (no jitter on an equality) with x, y <= 0.5 - gap: the left
+  // side falls short by 2·gap. The margin is 1e-9 times the summed
+  // magnitudes, here 1 + 2·(0.5 - gap), so 2·gap must exceed about 2e-9.
+  auto system = [](double gap) {
+    LpModel m;
+    int x = m.AddVariable(0, 0.5 - gap, "x");
+    int y = m.AddVariable(0, 0.5 - gap, "y");
+    m.AddConstraint(LinearExpr::Term(x, 1) + LinearExpr::Term(y, 1),
+                    RelOp::kEq, 1.0);
+    return m;
+  };
+  EXPECT_FALSE(IncrementalLp(system(1e-12)).CertifiesInfeasible({1.0}));
+  EXPECT_FALSE(IncrementalLp(system(5e-10)).CertifiesInfeasible({1.0}));
+  EXPECT_TRUE(IncrementalLp(system(1e-8)).CertifiesInfeasible({1.0}));
 }
 
 TEST(IncrementalLpTest, BasisExportImportRoundTrips) {
@@ -390,6 +460,147 @@ TEST_P(IncrementalEquivalenceTest, SparseRowsMatchColdThroughLongTrajectories) {
     }
     ExpectAgreement(inc, mirror, context);
   }
+}
+
+// The long-lifetime family: one tableau living through 200–260 mutations,
+// with a quarter or more of its verdicts infeasible. Warm infeasibility
+// verdicts are accepted on a Farkas certificate instead of a rebuild, so
+// the tableau is refactorized only when a check fails, and the round-off a
+// long life accumulates is where a wrong certificate, a wrongly dropped
+// entry or a vertex that only looks optimal would show. Objectives are
+// compared relative to their size: the cold model leaves inactive rows
+// out, so its rows are numbered, and jittered (DegeneracyJitter), unlike
+// the warm engine's, and objectives in the hundreds then differ by the
+// duals times about 1e-9.
+TEST_P(IncrementalEquivalenceTest, LongLivedTableauMatchesColdThroughVerdicts) {
+  Rng rng(GetParam() * 15485863 + 7);
+  const int n = static_cast<int>(rng.NextInt(12, 24));
+
+  // Rows hold at a reference point x0 inside the initial bounds. Bound
+  // moves that leave x0 outside, and rows built around another point, make
+  // verdicts infeasible; restoring a variable's first box relaxes them.
+  // Moves draw from [lo0, top0], top0 standing in for an infinite hi0.
+  Mirror mirror;
+  std::vector<int> vars(n);
+  std::vector<double> x0(n), lo0(n), hi0(n), top0(n);
+  for (int j = 0; j < n; ++j) {
+    lo0[j] = rng.NextUniform(-1, 0.5);
+    hi0[j] = rng.NextDouble() < 0.1 ? kInfinity
+                                    : lo0[j] + rng.NextUniform(0.5, 3);
+    top0[j] = std::isfinite(hi0[j]) ? hi0[j] : lo0[j] + 3;
+    vars[j] = mirror.base.AddVariable(lo0[j], hi0[j]);
+    x0[j] = lo0[j] + rng.NextUniform(0, std::isfinite(hi0[j])
+                                            ? hi0[j] - lo0[j]
+                                            : 2);
+  }
+  LinearExpr obj;
+  for (int j = 0; j < n; ++j) {
+    obj += LinearExpr::Term(vars[j], rng.NextGaussian());
+  }
+  mirror.base.SetObjective(obj, rng.NextDouble() < 0.5
+                                    ? ObjectiveSense::kMaximize
+                                    : ObjectiveSense::kMinimize);
+
+  auto row_at = [&](const std::vector<double>& point) {
+    LpConstraint c;
+    const int terms = static_cast<int>(rng.NextInt(2, 5));
+    std::vector<int> picked;
+    double at_point = 0;
+    while (static_cast<int>(picked.size()) < terms) {
+      const int j = static_cast<int>(rng.NextBelow(n));
+      if (std::find(picked.begin(), picked.end(), j) != picked.end()) continue;
+      picked.push_back(j);
+      double coeff = rng.NextGaussian();
+      if (rng.NextDouble() < 0.2) coeff *= 20;  // big-M-like
+      c.expr += LinearExpr::Term(vars[j], coeff);
+      at_point += coeff * point[j];
+    }
+    const double slack = 0.3 * std::abs(rng.NextGaussian());
+    const double roll = rng.NextDouble();
+    if (roll < 0.45) {
+      c.op = RelOp::kLe;
+      c.rhs = at_point + slack;
+    } else if (roll < 0.9) {
+      c.op = RelOp::kGe;
+      c.rhs = at_point - slack;
+    } else {
+      c.op = RelOp::kEq;
+      c.rhs = at_point;
+    }
+    return c;
+  };
+  const int base_rows = static_cast<int>(rng.NextInt(n / 2, n));
+  for (int i = 0; i < base_rows; ++i) {
+    mirror.rows.push_back(row_at(x0));
+    mirror.active.push_back(true);
+  }
+
+  IncrementalLp inc(BuildCold(mirror));
+  ExpectAgreement(inc, mirror, "initial solve");
+
+  const int steps = static_cast<int>(rng.NextInt(200, 260));
+  int infeasible_verdicts = 0;
+  std::vector<int> moved;  // variables whose box is not their first one
+  bool last_infeasible = false;
+  for (int s = 0; s < steps; ++s) {
+    const double roll = rng.NextDouble();
+    std::string context = "step " + std::to_string(s) + " after " +
+                          std::to_string(inc.stats().total_pivots()) +
+                          " pivots";
+    if (roll < 0.35 || (roll < 0.60 && moved.empty())) {
+      // Move a variable's box somewhere inside its first one. After an
+      // infeasible verdict the new box keeps x0 inside; after a feasible
+      // one it usually excludes x0, which keeps both kinds of verdict
+      // coming on every trajectory.
+      const int j = static_cast<int>(rng.NextBelow(n));
+      double lo, hi;
+      if (last_infeasible) {
+        lo = rng.NextUniform(lo0[j], x0[j]);
+        hi = rng.NextUniform(x0[j], top0[j]);
+      } else {
+        lo = rng.NextUniform(lo0[j], top0[j]);
+        hi = rng.NextDouble() < 0.4 ? lo : rng.NextUniform(lo, top0[j]);
+      }
+      mirror.base.mutable_variable(vars[j]).lower = lo;
+      mirror.base.mutable_variable(vars[j]).upper = hi;
+      inc.SetVariableBounds(vars[j], lo, hi);
+      if (std::find(moved.begin(), moved.end(), j) == moved.end()) {
+        moved.push_back(j);
+      }
+      context += " (bounds)";
+    } else if (roll < 0.60) {
+      // Restore a moved variable's first box (undo a branching decision).
+      const size_t k = rng.NextBelow(moved.size());
+      const int j = moved[k];
+      moved.erase(moved.begin() + k);
+      mirror.base.mutable_variable(vars[j]).lower = lo0[j];
+      mirror.base.mutable_variable(vars[j]).upper = hi0[j];
+      inc.SetVariableBounds(vars[j], lo0[j], hi0[j]);
+      context += " (restore bounds)";
+    } else if (roll < 0.70 && mirror.rows.size() < 2 * static_cast<size_t>(n)) {
+      // A new row, around x0 or around another point of the first box.
+      std::vector<double> point = x0;
+      if (rng.NextDouble() < 0.5) {
+        for (int j = 0; j < n; ++j) point[j] = rng.NextUniform(lo0[j], top0[j]);
+      }
+      LpConstraint c = row_at(point);
+      mirror.rows.push_back(c);
+      mirror.active.push_back(true);
+      inc.AddRow(c.expr, c.op, c.rhs);
+      context += " (add row)";
+    } else {
+      const size_t i = rng.NextBelow(mirror.rows.size());
+      mirror.active[i] = !mirror.active[i];
+      inc.SetRowActive(static_cast<int>(i), mirror.active[i]);
+      context += " (toggle row)";
+    }
+    ExpectAgreement(inc, mirror, context, &last_infeasible,
+                    /*relative_tol=*/true);
+    if (HasFatalFailure()) return;
+    infeasible_verdicts += last_infeasible ? 1 : 0;
+  }
+  EXPECT_GE(4 * infeasible_verdicts, steps) << infeasible_verdicts;
+  EXPECT_GT(inc.stats().certified_infeasible, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceTest,
