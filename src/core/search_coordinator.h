@@ -3,7 +3,7 @@
 
 /// \file search_coordinator.h
 /// Shared state for one parallel exact search (see DESIGN.md "Parallel
-/// search architecture"). Two pieces:
+/// search architecture"), and the worker loop that drives it. Three pieces:
 ///
 ///  * `SearchCoordinator` — the global incumbent (installed with
 ///    compare-and-swap semantics under a mutex: objectives here are exact
@@ -23,10 +23,16 @@
 ///    is identical to a plain std::priority_queue — the serial search is
 ///    the K = W = 1 special case of the parallel one, not a separate code
 ///    path.
+///
+///  * `RunBestFirstWorkers` — the one worker loop of both exact searches
+///    (the indicator MILP's branch-and-bound and the spatial B&B): stop,
+///    pop, cap, prune, process, balance. An engine supplies only its
+///    per-worker setup, its per-node function and its prune margin.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -34,6 +40,7 @@
 #include <vector>
 
 #include "util/status.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rankhow {
@@ -272,6 +279,90 @@ class ShardedFrontier {
   std::mutex mu_;
   std::condition_variable cv_;
 };
+
+/// What one best-first run counted: the nodes handed to `process`, and the
+/// nodes discarded at pop because their bound could not beat the incumbent.
+struct BestFirstCounts {
+  int64_t explored = 0;
+  int64_t pruned_at_pop = 0;
+};
+
+/// Runs `num_workers` workers over `frontier` until it is exhausted or a
+/// stop is requested: worker 0 on the calling thread, the others on a pool
+/// of num_workers − 1 threads. Worker w calls `setup(w)` once on its own
+/// thread, then loops:
+///  * a passed deadline or an external cancel stops every worker, and the
+///    result is budget-limited, never proven;
+///  * once `max_nodes` nodes were explored (0 = no cap), the popped node is
+///    pushed back, so the final bound accounting sees it, and the run stops
+///    the same way;
+///  * a node whose bound is >= incumbent − `prune_margin` is discarded. A
+///    single worker just popped the global frontier minimum, so everything
+///    left is equally prunable and the search is over. With several workers
+///    that inference is unsound (best-of-tops pops are approximate and a
+///    sibling mid-node may still push better-bounded children), so they
+///    drain their shards instead;
+///  * otherwise `process(w, node)` explores the node, pushing its children.
+/// Every successful pop is balanced by one Done().
+template <typename Node, typename Order, typename Setup, typename Process>
+BestFirstCounts RunBestFirstWorkers(SearchCoordinator& coordinator,
+                                    ShardedFrontier<Node, Order>& frontier,
+                                    int num_workers, int64_t max_nodes,
+                                    double prune_margin, Setup setup,
+                                    Process process) {
+  std::atomic<int64_t> explored{0};
+  std::atomic<int64_t> pruned_at_pop{0};
+  auto stop_at_limit = [&] {
+    coordinator.RequestLimitStop();
+    frontier.RequestStop();
+  };
+  auto run_worker = [&](int w) {
+    setup(w);
+    int64_t pruned = 0;
+    while (!coordinator.StopRequested()) {
+      if (coordinator.deadline().Expired() ||
+          coordinator.ExternalCancelRequested()) {
+        stop_at_limit();
+        break;
+      }
+      std::optional<Node> node = frontier.Pop();
+      if (!node.has_value()) break;  // exhausted or stopped
+      if (max_nodes > 0 &&
+          explored.load(std::memory_order_relaxed) >= max_nodes) {
+        frontier.Push(std::move(*node));
+        frontier.Done();
+        stop_at_limit();
+        break;
+      }
+      if (node->frontier_bound() >=
+          coordinator.best_objective() - prune_margin) {
+        ++pruned;
+        frontier.Done();
+        if (num_workers == 1) {
+          frontier.RequestStop();  // completion — not a limit stop
+          break;
+        }
+        continue;
+      }
+      explored.fetch_add(1, std::memory_order_relaxed);
+      process(w, std::move(*node));
+      frontier.Done();
+    }
+    pruned_at_pop.fetch_add(pruned, std::memory_order_relaxed);
+  };
+  if (num_workers == 1) {
+    run_worker(0);
+  } else {
+    ThreadPool pool(num_workers - 1);
+    TaskGroup group(&pool);
+    for (int w = 1; w < num_workers; ++w) {
+      group.Spawn([&run_worker, w] { run_worker(w); });
+    }
+    run_worker(0);
+    group.Wait();
+  }
+  return {explored.load(), pruned_at_pop.load()};
+}
 
 }  // namespace rankhow
 

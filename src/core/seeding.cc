@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <memory>
 #include <queue>
 
 #include "baselines/linear_regression.h"
 #include "baselines/ordinal_regression.h"
-#include "core/cell_bounds.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -43,13 +44,36 @@ Result<std::vector<double>> LinearRegressionSeed(const Dataset& data,
   return ProjectWeightsToSimplex(std::move(fit.weights));
 }
 
+CellErrorBounds BoundCellError(const Ranking& given,
+                               const FixingState& fixing) {
+  const std::vector<int>& tuples = given.ranked_tuples();
+  CellErrorBounds bounds;
+  for (size_t g = 0; g < tuples.size(); ++g) {
+    const long beats_min = fixing.groups[g].fixed_one;
+    const long beats_max = beats_min + fixing.groups[g].num_free;
+    const long target = given.position(tuples[g]) - 1;
+    // Positions bracket [beats_min+1, beats_max+1]; distance of target+1 to
+    // the bracket is a valid per-tuple lower bound; the farthest endpoint a
+    // valid upper bound.
+    if (target < beats_min) {
+      bounds.lower += beats_min - target;
+    } else if (target > beats_max) {
+      bounds.lower += target - beats_max;
+    }
+    bounds.upper += std::max(std::labs(target - beats_min),
+                             std::labs(target - beats_max));
+  }
+  return bounds;
+}
+
 namespace {
 
 struct ScoredBox {
   long lower_bound;
   long upper_bound;
-  double width;
   WeightBox box;
+  /// The box's own fixing, which its children refine.
+  std::shared_ptr<const FixingState> fixing;
 };
 
 struct BoxOrder {
@@ -59,32 +83,27 @@ struct BoxOrder {
   }
 };
 
-double MaxWidth(const WeightBox& box) {
-  double w = 0;
-  for (int i = 0; i < box.dim(); ++i) w = std::max(w, box.hi[i] - box.lo[i]);
-  return w;
-}
-
 }  // namespace
 
 Result<std::vector<double>> GridLowerBoundSeed(const Dataset& data,
                                                const Ranking& given,
                                                const GridSeedOptions& options,
                                                const Deadline& deadline) {
-  const int m = data.num_attributes();
+  const std::vector<int>& tuples = given.ranked_tuples();
   std::priority_queue<ScoredBox, std::vector<ScoredBox>, BoxOrder> open;
 
-  auto push_box = [&](WeightBox box) -> Status {
-    if (!box.IntersectsSimplex()) return Status::OK();
-    auto bounds = ComputeCellErrorBounds(data, given, box, options.eps1,
-                                         options.eps2);
-    if (!bounds.ok()) return bounds.status();
-    open.push(ScoredBox{bounds->lower, bounds->upper, MaxWidth(box),
-                        std::move(box)});
-    return Status::OK();
+  auto push_box = [&](WeightBox box, FixingState fixing) {
+    const CellErrorBounds bounds = BoundCellError(given, fixing);
+    auto state = std::make_shared<const FixingState>(std::move(fixing));
+    open.push(ScoredBox{bounds.lower, bounds.upper, std::move(box),
+                        std::move(state)});
   };
 
-  RH_RETURN_NOT_OK(push_box(WeightBox::FullSimplex(m)));
+  const WeightBox root = WeightBox::FullSimplex(data.num_attributes());
+  RH_ASSIGN_OR_RETURN(FixingSummary root_fixing,
+                      ComputeIndicatorFixing(data, tuples, root, options.eps1,
+                                             options.eps2));
+  push_box(root, FixingState::FromSummary(root_fixing));
 
   int evaluations = 1;
   std::vector<double> best_point;
@@ -97,7 +116,7 @@ Result<std::vector<double>> GridLowerBoundSeed(const Dataset& data,
       // Even the most promising cell cannot beat the best certified cell.
       break;
     }
-    if (top.width <= options.target_cell_size ||
+    if (top.box.MaxWidth() <= options.target_cell_size ||
         top.lower_bound == top.upper_bound) {
       auto point = AnyPointOnSimplexBox(top.box);
       if (point.ok() &&
@@ -108,23 +127,15 @@ Result<std::vector<double>> GridLowerBoundSeed(const Dataset& data,
       }
       continue;
     }
-    // Split the widest dimension.
-    int dim = 0;
-    double widest = -1;
-    for (int i = 0; i < m; ++i) {
-      double w = top.box.hi[i] - top.box.lo[i];
-      if (w > widest) {
-        widest = w;
-        dim = i;
-      }
+    auto [lower, upper] = top.box.SplitWidest();
+    for (WeightBox* half : {&lower, &upper}) {
+      if (!half->IntersectsSimplex()) continue;
+      RH_ASSIGN_OR_RETURN(
+          FixingState fixing,
+          RefineIndicatorFixing(data, tuples, *top.fixing, *half,
+                                options.eps1, options.eps2));
+      push_box(std::move(*half), std::move(fixing));
     }
-    double mid = 0.5 * (top.box.lo[dim] + top.box.hi[dim]);
-    WeightBox left = top.box;
-    left.hi[dim] = mid;
-    WeightBox right = top.box;
-    right.lo[dim] = mid;
-    RH_RETURN_NOT_OK(push_box(std::move(left)));
-    RH_RETURN_NOT_OK(push_box(std::move(right)));
     evaluations += 2;
   }
   // Budget exhausted: fall back to the most promising remaining cell.

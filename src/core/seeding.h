@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/indicator_fixing.h"
 #include "data/dataset.h"
 #include "math/simplex_box.h"
 #include "ranking/ranking.h"
@@ -45,13 +46,30 @@ struct GridSeedOptions {
   double eps2 = 0.0;
 };
 
+/// Error bounds for a weight-space cell (Sec. IV-B): each indicator δ_sr is
+/// fixed 1, fixed 0, or free over the cell, which brackets every ranked
+/// tuple's position and therefore the position error of EVERY weight vector
+/// in the cell.
+struct CellErrorBounds {
+  /// No weight vector in the cell achieves error below this.
+  long lower = 0;
+  /// Some weight vector in the cell is guaranteed to achieve at most this
+  /// (conservative: derived from the same brackets).
+  long upper = 0;
+};
+
+/// The bounds of a cell whose fixing for `given.ranked_tuples()` is
+/// `fixing`.
+CellErrorBounds BoundCellError(const Ranking& given, const FixingState& fixing);
+
 /// The paper's second strategy: search weight-space cells by error lower
 /// bound (Sec. IV-B). Implemented as best-first box subdivision — cells are
 /// refined in ascending lower-bound order instead of enumerating all
 /// (1/c)^m at once, which visits the same cells the exhaustive grid would
-/// but reaches the winning one much sooner. No cell is split once
-/// `deadline` has expired; the most promising open cell then gives the
-/// seed, as when `max_cells` runs out.
+/// but reaches the winning one much sooner. Only the root cell gets a full
+/// fixing pass; every other cell refines its parent's fixing state, as the
+/// spatial B&B does. No cell is split once `deadline` has expired; the most
+/// promising open cell then gives the seed, as when `max_cells` runs out.
 Result<std::vector<double>> GridLowerBoundSeed(
     const Dataset& data, const Ranking& given,
     const GridSeedOptions& options = GridSeedOptions(),

@@ -1,6 +1,6 @@
 #include "core/shared_incumbent_pool.h"
 
-#include <cmath>
+#include "math/simplex_box.h"
 
 namespace rankhow {
 
@@ -9,14 +9,6 @@ namespace {
 /// Resident-entry bound; overflow evicts the oldest (pure warm-start
 /// heuristics — any policy is sound).
 constexpr size_t kCapacity = 32;
-
-bool SameWeights(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) >= 1e-12) return false;
-  }
-  return true;
-}
 
 }  // namespace
 

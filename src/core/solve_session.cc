@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "core/presolve.h"
+#include "math/simplex_box.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -377,12 +378,7 @@ void SolveSession::Remember(const std::vector<double>& weights, bool winner,
                             long known_error) {
   if (weights.empty()) return;
   for (PoolEntry& have : pool_) {
-    if (have.weights.size() != weights.size()) continue;
-    double dist = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      dist = std::max(dist, std::abs(have.weights[i] - weights[i]));
-    }
-    if (dist < 1e-12) {
+    if (SameWeights(have.weights, weights)) {
       // Same vector re-surfaced: upgrade its credentials instead of
       // duplicating (a winner flag is sticky — once optimal for some past
       // constraint set, always "a past winner").

@@ -1,7 +1,6 @@
 #include "core/spatial_bnb.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -43,12 +42,6 @@ struct NodeOrder {
   }
 };
 
-double MaxWidth(const WeightBox& box) {
-  double w = 0;
-  for (int i = 0; i < box.dim(); ++i) w = std::max(w, box.hi[i] - box.lo[i]);
-  return w;
-}
-
 /// What bounding a box concluded.
 struct BoxBound {
   long lb = 0;
@@ -73,7 +66,6 @@ LpModel BuildFeasibilityModel(int m, const WeightConstraintSet& constraints) {
 /// Search-global state for one (possibly parallel) subdivision.
 struct SearchShared {
   const OptProblem& problem;
-  const SpatialBnbOptions& options;
   const Dataset& data;
   const Ranking& given;
   int m;
@@ -82,13 +74,8 @@ struct SearchShared {
   double fix_zero_at;
   const std::vector<int>& tuples;
   bool has_general_rows;
-  int num_workers;
   SearchCoordinator coordinator;
   ShardedFrontier<Node, NodeOrder> frontier;
-  /// Global box counter (max_boxes enforcement + final stats).
-  std::atomic<int64_t> boxes_explored{0};
-  /// Serial-sweep oracle injected by RankHow (num_workers == 1 only).
-  BoxFeasibilityOracle* external_oracle = nullptr;
 };
 
 /// One worker's mutable state: its private warm oracle (or the injected
@@ -255,7 +242,7 @@ void ProcessBox(SearchShared& sh, WorkerState& ws, Node node) {
     // all_fixed test; the LP point satisfies P).
     return;
   }
-  if (MaxWidth(node.box) <= kMinBoxWidth) {
+  if (node.box.MaxWidth() <= kMinBoxWidth) {
     // Resolution floor: the box straddles a hyperplane within numerical
     // noise. The evaluation above settled it unless its value is above
     // the bound — then the proof has a hole we must report. (A stale
@@ -267,84 +254,12 @@ void ProcessBox(SearchShared& sh, WorkerState& ws, Node node) {
     return;
   }
 
-  // Split the widest dimension at its midpoint (closed halves: the cover
-  // keeps hyperplane-boundary points in both children).
-  int dim = 0;
-  double widest = -1;
-  for (int i = 0; i < sh.m; ++i) {
-    double w = node.box.hi[i] - node.box.lo[i];
-    if (w > widest) {
-      widest = w;
-      dim = i;
-    }
-  }
-  double mid = 0.5 * (node.box.lo[dim] + node.box.hi[dim]);
   // Immutable from here on, so children may be bounded on any worker.
   auto fixing = std::make_shared<const FixingState>(std::move(bb->fixing));
-  for (int side = 0; side < 2; ++side) {
-    Node child{node.box, lb, node.depth + 1, fixing};
-    (side == 0 ? child.box.hi : child.box.lo)[dim] = mid;
-    if (!child.box.IntersectsSimplex()) continue;
-    sh.frontier.Push(std::move(child));
-  }
-}
-
-/// One worker's subdivision loop (see milp/branch_and_bound.cc for the
-/// protocol; this is the same pop → prune-or-process → repeat shape over
-/// weight-space boxes).
-void RunWorker(SearchShared& sh, WorkerState& ws) {
-  ws.diff.resize(sh.m);
-  // Warm path: adjacent boxes differ only in variable bounds, so one
-  // compiled oracle per worker resolves each query from the previous
-  // basis. Serial solves reuse the oracle RankHow injects to span a whole
-  // SYM-GD cell sweep; parallel workers compile their own.
-  if (sh.has_general_rows && sh.options.use_warm_start) {
-    if (sh.external_oracle != nullptr) {
-      ws.oracle = sh.external_oracle;
-      ws.oracle_solves0 = ws.oracle->stats().solves;
-      ws.oracle_pivots0 = ws.oracle->stats().total_pivots();
-      ws.oracle_warm0 = ws.oracle->stats().warm_solves;
-      ws.oracle_cold0 = ws.oracle->stats().cold_solves;
-    } else {
-      ws.local_oracle = std::make_unique<BoxFeasibilityOracle>(
-          sh.m, sh.problem.constraints);
-      ws.oracle = ws.local_oracle.get();
-    }
-  }
-  while (!sh.coordinator.StopRequested()) {
-    if (sh.coordinator.deadline().Expired() ||
-        sh.coordinator.ExternalCancelRequested()) {
-      sh.coordinator.RequestLimitStop();
-      sh.frontier.RequestStop();
-      break;
-    }
-    std::optional<Node> node = sh.frontier.Pop();
-    if (!node.has_value()) break;  // exhausted or stopped
-    if (sh.options.max_boxes > 0 &&
-        sh.boxes_explored.load(std::memory_order_relaxed) >=
-            sh.options.max_boxes) {
-      sh.frontier.Push(std::move(*node));
-      sh.frontier.Done();
-      sh.coordinator.RequestLimitStop();
-      sh.frontier.RequestStop();
-      break;
-    }
-    if (static_cast<double>(node->lb) >= sh.coordinator.best_objective()) {
-      // Best-first: this subtree cannot improve the incumbent, so discard
-      // it. A single worker just popped the global frontier minimum, so
-      // everything left is equally prunable: the search is over (see
-      // milp/branch_and_bound.cc for why this exit is single-worker-only).
-      ++ws.pruned_bound;
-      sh.frontier.Done();
-      if (sh.num_workers == 1) {
-        sh.frontier.RequestStop();  // completion — not a limit stop
-        break;
-      }
-      continue;
-    }
-    sh.boxes_explored.fetch_add(1, std::memory_order_relaxed);
-    ProcessBox(sh, ws, std::move(*node));
-    sh.frontier.Done();
+  auto [lower, upper] = node.box.SplitWidest();
+  for (WeightBox* half : {&lower, &upper}) {
+    if (!half->IntersectsSimplex()) continue;
+    sh.frontier.Push(Node{std::move(*half), lb, node.depth + 1, fixing});
   }
 }
 
@@ -409,7 +324,6 @@ Result<SpatialBnbResult> SpatialBnb::Solve(const WeightBox& root_box) const {
   WallTimer timer;
   // improvement_tol 0: errors are integral longs, strict `<` is exact.
   SearchShared shared{problem_,
-                      options_,
                       data,
                       given,
                       m,
@@ -418,12 +332,9 @@ Result<SpatialBnbResult> SpatialBnb::Solve(const WeightBox& root_box) const {
                       fix_zero_at,
                       tuples,
                       has_general_rows,
-                      num_workers,
                       SearchCoordinator(options_.time_limit_seconds, 0.0,
                                         options_.cancel),
-                      ShardedFrontier<Node, NodeOrder>(num_workers),
-                      {},
-                      num_workers == 1 ? external_oracle_ : nullptr};
+                      ShardedFrontier<Node, NodeOrder>(num_workers)};
 
   if (!options_.initial_weights.empty()) {
     // Same path as a worker's discovery so the update is counted — serial
@@ -436,17 +347,32 @@ Result<SpatialBnbResult> SpatialBnb::Solve(const WeightBox& root_box) const {
       Node{root, std::max(0L, options_.external_lower_bound), 0, nullptr});
 
   std::vector<WorkerState> workers(num_workers);
-  if (num_workers == 1) {
-    RunWorker(shared, workers[0]);
-  } else {
-    ThreadPool pool(num_workers - 1);
-    TaskGroup group(&pool);
-    for (int i = 1; i < num_workers; ++i) {
-      group.Spawn([&shared, &workers, i] { RunWorker(shared, workers[i]); });
-    }
-    RunWorker(shared, workers[0]);
-    group.Wait();
-  }
+  const BestFirstCounts counts = RunBestFirstWorkers(
+      shared.coordinator, shared.frontier, num_workers, options_.max_boxes,
+      0.0,
+      [&](int w) {
+        WorkerState& ws = workers[w];
+        ws.diff.resize(m);
+        if (!has_general_rows || !options_.use_warm_start) return;
+        // Warm path: adjacent boxes differ only in variable bounds, so one
+        // compiled oracle per worker resolves each query from the previous
+        // basis. Serial solves reuse the oracle RankHow injects to span a
+        // whole SYM-GD cell sweep; parallel workers compile their own.
+        if (num_workers == 1 && external_oracle_ != nullptr) {
+          ws.oracle = external_oracle_;
+          ws.oracle_solves0 = ws.oracle->stats().solves;
+          ws.oracle_pivots0 = ws.oracle->stats().total_pivots();
+          ws.oracle_warm0 = ws.oracle->stats().warm_solves;
+          ws.oracle_cold0 = ws.oracle->stats().cold_solves;
+        } else {
+          ws.local_oracle = std::make_unique<BoxFeasibilityOracle>(
+              m, problem_.constraints);
+          ws.oracle = ws.local_oracle.get();
+        }
+      },
+      [&](int w, Node node) {
+        ProcessBox(shared, workers[w], std::move(node));
+      });
 
   if (shared.coordinator.has_error()) {
     return shared.coordinator.first_error();
@@ -454,7 +380,8 @@ Result<SpatialBnbResult> SpatialBnb::Solve(const WeightBox& root_box) const {
 
   SpatialBnbResult result;
   SpatialBnbStats& stats = result.stats;
-  stats.boxes_explored = shared.boxes_explored.load();
+  stats.boxes_explored = counts.explored;
+  stats.boxes_pruned_bound = counts.pruned_at_pop;
   stats.incumbent_updates = shared.coordinator.incumbent_updates();
   long floor_lb_min = std::numeric_limits<long>::max();
   for (const WorkerState& ws : workers) {

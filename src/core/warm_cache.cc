@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "math/simplex_box.h"
 #include "util/framed_records.h"
 #include "util/string_util.h"
 
@@ -34,16 +35,6 @@ constexpr char kFileName[] = "warm.cache";
 /// Total resident entries across all keys; overflow drops the oldest key
 /// group (pure warm-start state — any policy is sound).
 constexpr int kMaxResidentEntries = 65536;
-
-/// True when two weight vectors agree to 1e-12 per coordinate — the same
-/// dedup tolerance as SharedIncumbentPool::SameWeights.
-bool SameWeights(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::fabs(a[i] - b[i]) > 1e-12) return false;
-  }
-  return true;
-}
 
 std::string FormatEntry(const WarmCache::Entry& entry) {
   std::string payload = StrFormat(

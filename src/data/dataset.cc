@@ -75,17 +75,6 @@ void Dataset::DiffVectorInto(int s, int r, double* out) const {
   }
 }
 
-bool Dataset::Dominates(int s, int r) const {
-  bool strict = false;
-  for (int a = 0; a < num_attributes(); ++a) {
-    double vs = (*columns_[a])[s];
-    double vr = (*columns_[a])[r];
-    if (vs < vr) return false;
-    if (vs > vr) strict = true;
-  }
-  return strict;
-}
-
 void Dataset::NegateColumn(int attr) {
   for (double& v : MutableColumn(attr)) v = -v;
 }

@@ -81,10 +81,6 @@ class Dataset {
   /// baseline) uses this with a reused buffer.
   void DiffVectorInto(int s, int r, double* out) const;
 
-  /// True iff s dominates r: s.Aᵢ >= r.Aᵢ on all attributes with at least one
-  /// strict (Sec. V-B).
-  bool Dominates(int s, int r) const;
-
   /// Flips the sign of a column (for undesirable attributes). Unshares only
   /// this column.
   void NegateColumn(int attr);

@@ -128,23 +128,6 @@ void BatchScoresWithErrorBound(const Dataset& data,
   });
 }
 
-void BatchDiffAgainst(const Dataset& data, int pivot, double* out,
-                      ThreadPool* pool) {
-  const int n = data.num_tuples();
-  const int m = data.num_attributes();
-  RH_DCHECK(pivot >= 0 && pivot < n);
-  ParallelChunks(pool, n, kParallelMinTuples, kBlockTuples,
-                 [&](int begin, int end) {
-    for (int a = 0; a < m; ++a) {
-      const double* col = data.column_data(a);
-      const double pv = col[pivot];
-      for (int t = begin; t < end; ++t) {
-        out[static_cast<size_t>(t) * m + a] = col[t] - pv;
-      }
-    }
-  });
-}
-
 void DiffRangeAgainst(const Dataset& data, int pivot, double* lo, double* hi,
                       ThreadPool* pool) {
   const int n = data.num_tuples();
@@ -172,36 +155,6 @@ void DiffRangeAgainst(const Dataset& data, int pivot, double* lo, double* hi,
           lo[t] = std::min(lo[t], d);
           hi[t] = std::max(hi[t], d);
         }
-      }
-    }
-  });
-}
-
-void DominanceScan(const Dataset& data, int pivot, unsigned char* out,
-                   ThreadPool* pool) {
-  const int n = data.num_tuples();
-  const int m = data.num_attributes();
-  RH_DCHECK(pivot >= 0 && pivot < n);
-  ParallelChunks(pool, n, kParallelMinTuples, kBlockTuples,
-                 [&](int begin, int end) {
-    unsigned char ge[kBlockTuples];
-    unsigned char strict[kBlockTuples];
-    for (int b = begin; b < end; b += kBlockTuples) {
-      const int e = std::min(end, b + kBlockTuples);
-      const int len = e - b;
-      std::fill(ge, ge + len, static_cast<unsigned char>(1));
-      std::fill(strict, strict + len, static_cast<unsigned char>(0));
-      for (int a = 0; a < m; ++a) {
-        const double* col = data.column_data(a);
-        const double pv = col[pivot];
-        for (int i = 0; i < len; ++i) {
-          const double v = col[b + i];
-          ge[i] = static_cast<unsigned char>(ge[i] & (v >= pv));
-          strict[i] = static_cast<unsigned char>(strict[i] | (v > pv));
-        }
-      }
-      for (int i = 0; i < len; ++i) {
-        out[b + i] = static_cast<unsigned char>(ge[i] & strict[i]);
       }
     }
   });

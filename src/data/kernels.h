@@ -78,24 +78,12 @@ void BatchScoresWithErrorBound(const Dataset& data,
                                double* scores, double* err,
                                ThreadPool* pool = nullptr);
 
-/// Pairwise difference vectors against a pivot tuple, tuple-major:
-/// out[s*m + a] = A_a(s) − A_a(pivot) for every s. The batched form of
-/// Dataset::DiffVectorInto when all of d(·, pivot) is needed.
-void BatchDiffAgainst(const Dataset& data, int pivot, double* out,
-                      ThreadPool* pool = nullptr);
-
 /// Per-tuple range of the difference vector against a pivot:
 /// lo[s] = min_a d_a(s,pivot), hi[s] = max_a d_a(s,pivot). Over the whole
 /// weight simplex the range of w·d(s,pivot) is exactly [lo[s], hi[s]] — the
 /// full-box indicator-fixing hot loop.
 void DiffRangeAgainst(const Dataset& data, int pivot, double* lo, double* hi,
                       ThreadPool* pool = nullptr);
-
-/// Dominance verdicts against a pivot: out[s] = 1 iff s dominates pivot
-/// (s.A_a >= pivot.A_a on all attributes, one strict — Sec. V-B), else 0.
-/// out[pivot] is 0 by definition.
-void DominanceScan(const Dataset& data, int pivot, unsigned char* out,
-                   ThreadPool* pool = nullptr);
 
 /// Reusable buffers for CountScoresAbove; capacity persists across calls so
 /// the steady state allocates nothing.

@@ -67,6 +67,37 @@ std::vector<double> WeightBox::Clamp(const std::vector<double>& w) const {
   return out;
 }
 
+double WeightBox::MaxWidth() const {
+  double width = 0;
+  for (int i = 0; i < dim(); ++i) width = std::max(width, hi[i] - lo[i]);
+  return width;
+}
+
+std::pair<WeightBox, WeightBox> WeightBox::SplitWidest() const {
+  int widest_dim = 0;
+  double widest = -1;
+  for (int i = 0; i < dim(); ++i) {
+    const double width = hi[i] - lo[i];
+    if (width > widest) {
+      widest = width;
+      widest_dim = i;
+    }
+  }
+  const double mid = 0.5 * (lo[widest_dim] + hi[widest_dim]);
+  std::pair<WeightBox, WeightBox> halves{*this, *this};
+  halves.first.hi[widest_dim] = mid;
+  halves.second.lo[widest_dim] = mid;
+  return halves;
+}
+
+bool SameWeights(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::abs(a[i] - b[i]) >= 1e-12) return false;
+  }
+  return true;
+}
+
 namespace {
 
 /// Exact min of c·w over {Σw=1, lo≤w≤hi} by greedy filling, for c = d or,

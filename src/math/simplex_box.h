@@ -12,6 +12,7 @@
 /// greedy fractional-knapsack argument in O(m log m).
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -43,7 +44,21 @@ struct WeightBox {
 
   /// Clamps a point into the box; does not re-normalize onto the simplex.
   std::vector<double> Clamp(const std::vector<double>& w) const;
+
+  /// The largest side hi[i] − lo[i].
+  double MaxWidth() const;
+
+  /// The two closed halves of the box cut at the midpoint of its widest side
+  /// (the first on ties), lower half first. Both keep the cut, so the halves
+  /// cover every point of the box, hyperplane boundaries included. How the
+  /// spatial B&B and the grid seed subdivide weight space.
+  std::pair<WeightBox, WeightBox> SplitWidest() const;
 };
+
+/// True when `a` and `b` have the same dimension and each coordinate differs
+/// by less than 1e-12: the one test by which the incumbent pools and the
+/// warm cache recognize a weight vector they already hold.
+bool SameWeights(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Exact minimum and maximum of d·w over box ∩ simplex.
 struct DotRange {

@@ -58,11 +58,8 @@ struct SearchShared {
   const std::vector<int>& binaries;
   const BnbOptions& options;
   const PrimalHeuristic& heuristic;
-  int num_workers;
   SearchCoordinator coordinator;
   ShardedFrontier<Node, NodeOrder> frontier;
-  /// Global node counter (max_nodes enforcement + final stats).
-  std::atomic<int64_t> nodes_explored{0};
   std::atomic<int64_t> numerical_drops{0};
 };
 
@@ -400,61 +397,6 @@ void ProcessNode(SearchShared& sh, WorkerState& ws, Node node) {
   branch(branch_var, leaning, bound, active, std::move(basis), basis_owner);
 }
 
-/// One worker's search loop: pop → prune-or-process → repeat, until the
-/// frontier reports exhaustion or a stop. The node cap and deadline are
-/// enforced here so every worker winds down within one node of the limit.
-void RunWorker(SearchShared& sh, WorkerState& ws) {
-  const BnbOptions& options = sh.options;
-  if (options.use_warm_start && ws.inc == nullptr) {
-    // The warm engine (one per worker): a persistent compiled instance
-    // holding the core rows plus every pool row this worker ever
-    // separated. Nodes are expressed as deltas against it — bound fixings
-    // and the active subset of materialized pool rows (deactivated rows
-    // keep their tableau slot with a freed slack, so undo is O(1) per
-    // row).
-    ws.inc = std::make_unique<IncrementalLp>(sh.core);
-    ws.pool_to_row.assign(sh.compiled.size(), -1);
-  }
-  while (!sh.coordinator.StopRequested()) {
-    if (sh.coordinator.deadline().Expired() ||
-        sh.coordinator.ExternalCancelRequested()) {
-      sh.coordinator.RequestLimitStop();
-      sh.frontier.RequestStop();
-      break;
-    }
-    std::optional<Node> node = sh.frontier.Pop();
-    if (!node.has_value()) break;  // exhausted or stopped
-    if (options.max_nodes > 0 &&
-        sh.nodes_explored.load(std::memory_order_relaxed) >=
-            options.max_nodes) {
-      sh.frontier.Push(std::move(*node));
-      sh.frontier.Done();
-      sh.coordinator.RequestLimitStop();
-      sh.frontier.RequestStop();
-      break;
-    }
-    if (node->bound >=
-        sh.coordinator.best_objective() - kAbsGap) {
-      // Best-first: this subtree cannot improve the incumbent, so discard
-      // it. With a single worker the popped node IS the global frontier
-      // minimum, so everything left is equally prunable and the search is
-      // over — the serial O(1) exit at proven optimality. With several
-      // workers that inference is unsound (best-of-tops pops are
-      // approximate and a sibling mid-node may still push better-bounded
-      // children), so siblings drain their shards cooperatively instead.
-      sh.frontier.Done();
-      if (sh.num_workers == 1) {
-        sh.frontier.RequestStop();  // completion — not a limit stop
-        break;
-      }
-      continue;
-    }
-    sh.nodes_explored.fetch_add(1, std::memory_order_relaxed);
-    ProcessNode(sh, ws, std::move(*node));
-    sh.frontier.Done();
-  }
-}
-
 }  // namespace
 
 Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
@@ -504,11 +446,9 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
                       model.binary_vars(),
                       options_,
                       heuristic_,
-                      num_workers,
                       SearchCoordinator(options_.time_limit_seconds, kAbsGap,
                                         options_.cancel),
                       ShardedFrontier<Node, NodeOrder>(num_workers),
-                      {},
                       {}};
   if (std::isfinite(options_.initial_incumbent)) {
     shared.coordinator.SeedIncumbent(options_.initial_incumbent,
@@ -533,24 +473,30 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
   }
 
   std::vector<WorkerState> workers(num_workers);
-  for (int i = 0; i < num_workers; ++i) workers[i].id = i;
-  if (num_workers == 1) {
-    RunWorker(shared, workers[0]);
-  } else {
-    ThreadPool pool(num_workers - 1);
-    TaskGroup group(&pool);
-    for (int i = 1; i < num_workers; ++i) {
-      group.Spawn([&shared, &workers, i] { RunWorker(shared, workers[i]); });
-    }
-    RunWorker(shared, workers[0]);
-    group.Wait();
-  }
+  const BestFirstCounts counts = RunBestFirstWorkers(
+      shared.coordinator, shared.frontier, num_workers, options_.max_nodes,
+      kAbsGap,
+      [&](int w) {
+        workers[w].id = w;
+        if (!options_.use_warm_start) return;
+        // The warm engine (one per worker): a persistent compiled instance
+        // holding the core rows plus every pool row this worker ever
+        // separated. Nodes are expressed as deltas against it — bound
+        // fixings and the active subset of materialized pool rows
+        // (deactivated rows keep their tableau slot with a freed slack, so
+        // undo is O(1) per row).
+        workers[w].inc = std::make_unique<IncrementalLp>(core);
+        workers[w].pool_to_row.assign(compiled.size(), -1);
+      },
+      [&](int w, Node node) {
+        ProcessNode(shared, workers[w], std::move(node));
+      });
 
   BnbResult best;
   best.objective = shared.coordinator.best_objective();
   best.values = shared.coordinator.incumbent_values();
   BnbStats& stats = best.stats;
-  stats.nodes_explored = shared.nodes_explored.load();
+  stats.nodes_explored = counts.explored;
   stats.incumbent_updates = shared.coordinator.incumbent_updates();
   stats.numerical_drops = shared.numerical_drops.load();
   for (const WorkerState& ws : workers) {
@@ -577,8 +523,11 @@ Result<BnbResult> BranchAndBound::Solve(const MilpModel& model) const {
   // their unfinished nodes, so the frontier holds every one of them).
   double global_bound = kInfinity;
   if (limits_hit) {
+    // An empty frontier leaves only the incumbent. A root stopped before
+    // its first LP keeps its bound, −inf without an external one, and
+    // proves nothing.
     global_bound = shared.frontier.MinBound();
-    if (!std::isfinite(global_bound)) global_bound = best.objective;
+    if (global_bound == kInfinity) global_bound = best.objective;
     if (!std::isfinite(best.objective)) {
       return Status::ResourceExhausted(
           "branch-and-bound limits reached before finding a feasible "

@@ -2,18 +2,23 @@
 // randomized instances, num_threads ∈ {1, 2, 8} must prove the *same*
 // optimum on both exact paths (the indicator MILP and the spatial
 // subdivision) — thread count buys wall-clock, never changes the answer —
-// and the SYM-GD portfolio must never do worse than its own single
-// ordinal-regression seed. Carries the ctest label `tsan`; see
-// thread_pool_test.cc.
+// budget and cancel stops must leave a sound bound, and the SYM-GD
+// portfolio must never do worse than its own single ordinal-regression
+// seed. Carries the ctest label `tsan`; see thread_pool_test.cc.
 
+#include <atomic>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/opt_model_builder.h"
 #include "core/rankhow.h"
 #include "core/seeding.h"
+#include "core/spatial_bnb.h"
 #include "core/sym_gd.h"
+#include "milp/branch_and_bound.h"
 #include "util/random.h"
 
 namespace rankhow {
@@ -240,6 +245,127 @@ TEST(ParallelSearchTest, BudgetedParallelRunStaysSound) {
   }
   EXPECT_LE(budgeted->bound, reference->error);
   EXPECT_GE(budgeted->error, reference->error);
+  // Each worker checks the cap before it counts its node, so at most the
+  // other three can slip past it.
+  EXPECT_LE(budgeted->stats.nodes_explored, 5 + 3);
+}
+
+// The stop paths of the shared best-first worker loop, driven at the
+// engine level: a box cap and a cancel flag set before the solve. Either
+// run must end budget-limited — no incumbent at all (kResourceExhausted),
+// or an unproven incumbent whose bound still lies at or below the optimum.
+template <typename EngineResult>
+void ExpectBudgetLimited(const EngineResult& result, double optimum,
+                         const std::string& label) {
+  if (!result.ok()) {
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << label << ": " << result.status().ToString();
+    return;
+  }
+  EXPECT_FALSE(result->proven_optimal) << label;
+  if constexpr (std::is_same_v<EngineResult, Result<SpatialBnbResult>>) {
+    EXPECT_LE(result->bound, optimum) << label;
+    EXPECT_GE(result->error, optimum) << label;
+  } else {
+    EXPECT_LE(result->best_bound, optimum) << label;
+    EXPECT_GE(result->objective, optimum) << label;
+  }
+}
+
+OptProblem MakeProblem(const Dataset& data, const Ranking& given) {
+  OptProblem problem;
+  problem.data = &data;
+  problem.given = &given;
+  problem.eps = TestEps();
+  return problem;
+}
+
+TEST(ParallelSearchTest, SpatialBoxCapAtFourThreadsStaysSound) {
+  Rng rng(42);
+  Dataset data = RandomDataset(rng, 14, 3);
+  Ranking given = RandomRanking(rng, 14, 7);
+  const OptProblem problem = MakeProblem(data, given);
+  auto reference =
+      SpatialBnb(problem, SpatialBnbOptions{}).Solve(WeightBox::FullSimplex(3));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->proven_optimal);
+  ASSERT_GT(reference->stats.boxes_explored, 40);
+
+  SpatialBnbOptions options;
+  options.max_boxes = 5;
+  options.num_threads = 4;
+  auto capped = SpatialBnb(problem, options).Solve(WeightBox::FullSimplex(3));
+  ExpectBudgetLimited(capped, reference->error, "max_boxes 5");
+  if (capped.ok()) {
+    // Each worker checks the cap before it counts its box, so at most the
+    // other three can slip past it.
+    EXPECT_LE(capped->stats.boxes_explored, 5 + 3);
+  }
+}
+
+TEST(ParallelSearchTest, SpatialCancelledBeforeSolveIsBudgetLimited) {
+  Rng rng(43);
+  Dataset data = RandomDataset(rng, 14, 3);
+  Ranking given = RandomRanking(rng, 14, 7);
+  const OptProblem problem = MakeProblem(data, given);
+  auto reference =
+      SpatialBnb(problem, SpatialBnbOptions{}).Solve(WeightBox::FullSimplex(3));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->proven_optimal);
+
+  const std::atomic<bool> cancel{true};
+  for (int threads : {1, 4}) {
+    for (bool seeded : {false, true}) {
+      SpatialBnbOptions options;
+      options.num_threads = threads;
+      options.cancel = &cancel;
+      if (seeded) options.initial_weights = {1.0 / 3, 1.0 / 3, 1.0 / 3};
+      auto result =
+          SpatialBnb(problem, options).Solve(WeightBox::FullSimplex(3));
+      const std::string label = "threads=" + std::to_string(threads) +
+                                (seeded ? " seeded" : " unseeded");
+      ExpectBudgetLimited(result, reference->error, label);
+      if (result.ok()) {
+        EXPECT_EQ(result->stats.boxes_explored, 0) << label;
+      }
+      EXPECT_EQ(result.ok(), seeded) << label;
+    }
+  }
+}
+
+TEST(ParallelSearchTest, MilpCancelledBeforeSolveIsBudgetLimited) {
+  Rng rng(44);
+  Dataset data = RandomDataset(rng, 12, 3);
+  Ranking given = RandomRanking(rng, 12, 6);
+  const OptProblem problem = MakeProblem(data, given);
+  auto model = BuildOptModel(problem, WeightBox::FullSimplex(3));
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  BnbOptions base;
+  base.objective_is_integral = true;
+  auto reference = BranchAndBound(base).Solve(model->milp);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_TRUE(reference->proven_optimal);
+
+  const std::atomic<bool> cancel{true};
+  for (int threads : {1, 4}) {
+    for (bool seeded : {false, true}) {
+      BnbOptions options = base;
+      options.num_threads = threads;
+      options.cancel = &cancel;
+      if (seeded) {
+        options.initial_incumbent = reference->objective;
+        options.initial_values = reference->values;
+      }
+      auto result = BranchAndBound(options).Solve(model->milp);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                (seeded ? " seeded" : " unseeded");
+      ExpectBudgetLimited(result, reference->objective, label);
+      if (result.ok()) {
+        EXPECT_EQ(result->stats.nodes_explored, 0) << label;
+      }
+      EXPECT_EQ(result.ok(), seeded) << label;
+    }
+  }
 }
 
 TEST(PortfolioTest, PortfolioNeverLosesToItsOwnOrdinalSeed) {

@@ -1,12 +1,16 @@
 #include "core/seeding.h"
 
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/nba.h"
 #include "data/synthetic.h"
 #include "ranking/score_ranking.h"
+#include "util/random.h"
 #include "util/timer.h"
 
 namespace rankhow {
@@ -82,18 +86,14 @@ TEST(SeedingTest, GridLowerBoundSeedFindsGoodCell) {
 }
 
 // A portfolio builds a deterministic seed only while a slot is open for
-// it: two slots go to the ordinal and linear fits, so the grid search
-// (seconds at this n) must not run. The grid seed alone is the yardstick.
+// it: two slots go to the ordinal and linear fits, so the grid search must
+// not run. The grid seed alone is the yardstick, on the full 22 840-player
+// table, where it takes tens of times longer than the two fits.
 TEST(SeedingTest, PortfolioBuildsOnlyTheSeedsItKeeps) {
   const NbaData nba = GenerateNba({.num_tuples = 22840, .seed = 1});
-  const int n = 300;
-  std::vector<int> rows(n);
-  std::iota(rows.begin(), rows.end(), 0);
-  Dataset data = nba.table.SelectTuples(rows).SelectAttributes({0, 1, 2, 3, 4});
+  Dataset data = nba.table.SelectAttributes({0, 1, 2, 3, 4});
   data.NormalizeMinMax();
-  std::vector<double> score(nba.mp_times_per.begin(),
-                            nba.mp_times_per.begin() + n);
-  Ranking given = Ranking::FromScores(score, 10, 0.0);
+  Ranking given = Ranking::FromScores(nba.mp_times_per, 10, 0.0);
   const double eps1 = 1e-4;
 
   WallTimer grid_timer;
@@ -148,6 +148,98 @@ TEST(SeedingTest, RandomSeedDeterministicPerSeed) {
   EXPECT_EQ(a, b);
   ExpectSimplex(a);
 }
+
+TEST(CellBoundsTest, FullSimplexBoundsAreLoose) {
+  Rng rng(2);
+  Dataset data({"A", "B"}, 20);
+  for (int t = 0; t < 20; ++t) {
+    data.set_value(t, 0, rng.NextDouble());
+    data.set_value(t, 1, rng.NextDouble());
+  }
+  Ranking given = Ranking::FromScores(data.Scores({0.5, 0.5}), 5, 0.0);
+  auto fixing = ComputeIndicatorFixing(data, given.ranked_tuples(),
+                                       WeightBox::FullSimplex(2), 1e-9, 0.0);
+  ASSERT_TRUE(fixing.ok()) << fixing.status().ToString();
+  const CellErrorBounds bounds =
+      BoundCellError(given, FixingState::FromSummary(*fixing));
+  EXPECT_GE(bounds.upper, bounds.lower);
+  EXPECT_EQ(bounds.lower, 0);  // a perfect function exists in the simplex
+}
+
+// Property: every sampled weight vector in a grid cell has error within the
+// cell's [lower, upper]. The cell is reached as the grid seed reaches it:
+// split the widest side of the full simplex down toward a random point,
+// refining the parent's fixing state at every split.
+class CellBoundsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CellBoundsPropertyTest, BoundsSandwichSampledErrors) {
+  Rng rng(GetParam());
+  int n = static_cast<int>(rng.NextInt(5, 30));
+  int m = static_cast<int>(rng.NextInt(2, 4));
+  int k = static_cast<int>(rng.NextInt(1, 5));
+  std::vector<std::string> names;
+  for (int a = 0; a < m; ++a) names.push_back("A" + std::to_string(a));
+  Dataset data(names, n);
+  for (int t = 0; t < n; ++t) {
+    for (int a = 0; a < m; ++a) data.set_value(t, a, rng.NextUniform(0, 1));
+  }
+  Ranking given =
+      Ranking::FromScores(data.Scores(rng.NextSimplexPoint(m)),
+                          std::min(k, n), 0.0);
+  const std::vector<double> center = rng.NextSimplexPoint(m);
+  const double cell_size = rng.NextUniform(0.05, 0.5);
+  const double eps1 = 1e-9;
+  WeightBox box = WeightBox::FullSimplex(m);
+  auto root = ComputeIndicatorFixing(data, given.ranked_tuples(), box, eps1,
+                                     0.0);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  FixingState fixing = FixingState::FromSummary(*root);
+  while (box.MaxWidth() > cell_size) {
+    auto [lower, upper] = box.SplitWidest();
+    box = lower.Contains(center, 0.0) ? lower : upper;
+    auto refined = RefineIndicatorFixing(data, given.ranked_tuples(), fixing,
+                                         box, eps1, 0.0);
+    ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+    fixing = *std::move(refined);
+  }
+  const CellErrorBounds bounds = BoundCellError(given, fixing);
+  auto anchor = AnyPointOnSimplexBox(box);
+  ASSERT_TRUE(anchor.ok()) << anchor.status().ToString();
+
+  for (int trial = 0; trial < 300; ++trial) {
+    // A point of box ∩ simplex: a random simplex point pulled into the box.
+    std::optional<std::vector<double>> w = BlendIntoBox(
+        rng.NextSimplexPoint(m), *anchor, box, rng.NextDouble());
+    if (!w.has_value() || !box.Contains(*w, 0.0)) continue;
+    // Evaluate with the MILP's thresholds: beats iff diff >= eps1. Weight
+    // vectors with diffs inside (eps2, eps1) are skipped — the bound is
+    // stated for indicator-consistent points.
+    long error = 0;
+    bool in_gap = false;
+    for (int r : given.ranked_tuples()) {
+      long beats = 0;
+      for (int s = 0; s < n; ++s) {
+        if (s == r) continue;
+        double diff = 0;
+        for (int a = 0; a < m; ++a) {
+          diff += (*w)[a] * (data.value(s, a) - data.value(r, a));
+        }
+        if (diff >= eps1) {
+          ++beats;
+        } else if (diff > 0.0) {
+          in_gap = true;
+        }
+      }
+      error += std::labs(static_cast<long>(given.position(r)) - 1 - beats);
+    }
+    if (in_gap) continue;
+    EXPECT_GE(error, bounds.lower);
+    EXPECT_LE(error, bounds.upper);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CellBoundsPropertyTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace rankhow

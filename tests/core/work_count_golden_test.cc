@@ -7,7 +7,9 @@
 // and a Sym-GD descent's error, cell solves and summed nodes. The Sym-GD
 // instance has more than 3 000 ordinal-regression pairs, so its seed comes
 // from the subgradient path; the seed's weights are pinned bit for bit
-// (hex-float literals), and so is the presolve on that instance. A change
+// (hex-float literals), and so is the presolve on that instance. The grid
+// lower-bound seed's weights are pinned bit for bit too, once when it
+// reaches a narrow cell and once when its cell budget runs out. A change
 // that claims to leave every search decision alone (constants moved,
 // plumbing deleted, a kernel swapped) must pass this unmodified;
 // tests/milp/work_count_golden_test.cc does the same for the indicator
@@ -15,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <ios>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,6 +160,25 @@ void ExpectSymGdGolden(
   }
 }
 
+/// The grid lower-bound seed with eps1 = 1e-4 and at most `max_cells` cell
+/// bounds; its weights are pinned bit for bit.
+void ExpectGridSeedGolden(int n, int m, int k, int max_cells,
+                          const std::vector<double>& weights) {
+  Dataset data;
+  Ranking given;
+  MakeNbaInstance(n, m, k, &data, &given);
+  GridSeedOptions options;
+  options.eps1 = GoldenOptions().eps.eps1;
+  options.max_cells = max_cells;
+  Result<std::vector<double>> seed = GridLowerBoundSeed(data, given, options);
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+  ASSERT_EQ(seed->size(), weights.size());
+  for (size_t a = 0; a < weights.size(); ++a) {
+    EXPECT_EQ((*seed)[a], weights[a])
+        << "weight " << a << " is " << std::hexfloat << (*seed)[a];
+  }
+}
+
 TEST(CoreWorkCountGoldenTest, PresolveNba300Players5AttributesTop6) {
   ExpectPresolveGolden(300, 5, 6, 17, 2197);
 }
@@ -192,6 +214,26 @@ TEST(CoreWorkCountGoldenTest, SpatialNba100Players5AttributesTop6Constrained) {
         while (given.IsRanked(unranked)) ++unranked;
         p->position_constraints.push_back({unranked, 5, 15});
       });
+}
+
+// The grid seed on the instance SeedingTest builds: a cell of width 0.1 is
+// reached within the default budget of 2 000 cell bounds. The weights read
+// 0.7375, 0.05, 0.05, 0.05, 0.1125.
+TEST(CoreWorkCountGoldenTest, GridSeedNba300Players5AttributesTop10) {
+  ExpectGridSeedGolden(300, 5, 10, 2000,
+                       {0x1.799999999999ap-1, 0x1.999999999999ap-5,
+                        0x1.999999999999ap-5, 0x1.999999999999ap-5,
+                        0x1.ccccccccccccdp-4});
+}
+
+// A budget of 40 cell bounds runs out while the best open cell is still
+// 0.5 wide, so the seed is a point of that cell: 7/12, then 1/12 three
+// times, then 1/6.
+TEST(CoreWorkCountGoldenTest, GridSeedNba300Players5AttributesTop10Budget40) {
+  ExpectGridSeedGolden(300, 5, 10, 40,
+                       {0x1.2aaaaaaaaaaabp-1, 0x1.5555555555555p-4,
+                        0x1.5555555555555p-4, 0x1.5555555555555p-4,
+                        0x1.5555555555555p-3});
 }
 
 TEST(CoreWorkCountGoldenTest, PresolveNba3100Players5AttributesTop10) {

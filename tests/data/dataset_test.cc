@@ -47,19 +47,6 @@ TEST(DatasetTest, ScoresAndScoreOfAgree) {
   }
 }
 
-TEST(DatasetTest, DominatesDetectsStrictDominance) {
-  Dataset d({"A", "B"}, 3);
-  d.set_value(0, 0, 5);
-  d.set_value(0, 1, 5);
-  d.set_value(1, 0, 3);
-  d.set_value(1, 1, 5);
-  d.set_value(2, 0, 5);
-  d.set_value(2, 1, 5);
-  EXPECT_TRUE(d.Dominates(0, 1));
-  EXPECT_FALSE(d.Dominates(1, 0));
-  EXPECT_FALSE(d.Dominates(0, 2));  // equal on all attrs: not strict
-}
-
 TEST(DatasetTest, NegateColumn) {
   Dataset d = SmallData();
   d.NegateColumn(0);

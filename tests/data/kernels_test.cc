@@ -253,23 +253,6 @@ TEST(KernelsTest, BatchScoresWithErrorBoundMatchesScalarReference) {
   }
 }
 
-TEST(KernelsTest, BatchDiffAgainstMatchesDiffVector) {
-  const int n = 2049;
-  const int m = 4;
-  Dataset d = TieHeavyDataset(n, m, /*seed=*/21, /*tie_eps=*/1e-9);
-  const int pivot = 1234;
-  std::vector<double> out(static_cast<size_t>(n) * m);
-  kernels::BatchDiffAgainst(d, pivot, out.data());
-  std::vector<double> ref(m);
-  for (int s = 0; s < n; ++s) {
-    d.DiffVectorInto(s, pivot, ref.data());
-    for (int a = 0; a < m; ++a) {
-      EXPECT_EQ(out[static_cast<size_t>(s) * m + a], ref[a])
-          << "s=" << s << " a=" << a;
-    }
-  }
-}
-
 TEST(KernelsTest, DiffVectorIntoMatchesDiffVector) {
   Dataset d = TieHeavyDataset(64, 5, /*seed=*/3, /*tie_eps=*/1e-9);
   std::vector<double> buf(5);
@@ -299,19 +282,6 @@ TEST(KernelsTest, DiffRangeAgainstMatchesScalarMinMax) {
       }
       EXPECT_EQ(lo[s], rlo) << "n=" << n << " s=" << s;
       EXPECT_EQ(hi[s], rhi) << "n=" << n << " s=" << s;
-    }
-  }
-}
-
-TEST(KernelsTest, DominanceScanMatchesDominates) {
-  for (int n : kBoundarySizes) {
-    Dataset d = TieHeavyDataset(n, 3, /*seed=*/500 + n, /*tie_eps=*/1e-9);
-    const int pivot = n - 1;
-    std::vector<unsigned char> out(n);
-    kernels::DominanceScan(d, pivot, out.data());
-    for (int s = 0; s < n; ++s) {
-      const bool expected = s == pivot ? false : d.Dominates(s, pivot);
-      EXPECT_EQ(out[s] != 0, expected) << "n=" << n << " s=" << s;
     }
   }
 }
@@ -519,8 +489,6 @@ TEST(KernelsTest, ParallelKernelsBitIdenticalAcrossWorkerCounts) {
   std::vector<double> serial_lo(n);
   std::vector<double> serial_hi(n);
   kernels::DiffRangeAgainst(d, 5, serial_lo.data(), serial_hi.data());
-  std::vector<unsigned char> serial_dom(n);
-  kernels::DominanceScan(d, 5, serial_dom.data());
 
   std::vector<int> tuples;
   for (int i = 0; i < 64; ++i) tuples.push_back((i * 511) % n);
@@ -554,11 +522,6 @@ TEST(KernelsTest, ParallelKernelsBitIdenticalAcrossWorkerCounts) {
         << "workers=" << workers;
     EXPECT_EQ(
         std::memcmp(hi.data(), serial_hi.data(), n * sizeof(double)), 0)
-        << "workers=" << workers;
-
-    std::vector<unsigned char> dom(n);
-    kernels::DominanceScan(d, 5, dom.data(), &pool);
-    EXPECT_EQ(std::memcmp(dom.data(), serial_dom.data(), n), 0)
         << "workers=" << workers;
 
     kernels::ExactRankScratch pscratch;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,26 @@ TEST(WeightBoxTest, DetectsEmptyIntersection) {
   box.lo = {0.7, 0.7};
   box.hi = {1.0, 1.0};
   EXPECT_FALSE(box.IntersectsSimplex());
+}
+
+TEST(WeightBoxTest, SplitWidestHalvesTheFirstWidestSide) {
+  WeightBox box;
+  box.lo = {0.25, 0.0, 0.25};
+  box.hi = {0.5, 0.5, 0.75};
+  EXPECT_EQ(box.MaxWidth(), 0.5);
+  // Sides 1 and 2 tie at 0.5; the first one is cut, and both halves keep
+  // the cut.
+  auto [lower, upper] = box.SplitWidest();
+  EXPECT_EQ(lower.lo, box.lo);
+  EXPECT_EQ(lower.hi, (std::vector<double>{0.5, 0.25, 0.75}));
+  EXPECT_EQ(upper.lo, (std::vector<double>{0.25, 0.25, 0.25}));
+  EXPECT_EQ(upper.hi, box.hi);
+}
+
+TEST(SameWeightsTest, EqualBelowOneTrillionthPerCoordinate) {
+  EXPECT_TRUE(SameWeights({0.5, 0.5}, {0.5, 0.5 + 1e-13}));
+  EXPECT_FALSE(SameWeights({0.5, 0.5}, {0.5, 0.5 + 2e-12}));
+  EXPECT_FALSE(SameWeights({0.5, 0.5}, {0.5, 0.5, 0.0}));
 }
 
 TEST(DotRangeTest, FullSimplexIsMinMaxOfCoefficients) {
