@@ -372,7 +372,8 @@ ThroughputLevel RunThroughputLevel(const Dataset& data, const Ranking& given,
   }
   level.queries_per_second =
       level.seconds > 0 ? level.commands / level.seconds : 0;
-  level.resident_copies = registry.Stats().resident_dataset_copies;
+  level.resident_copies =
+      static_cast<int>(registry.Stats()[kStatDatasets]);
   if (level.resident_copies != 1) level.ok = false;  // COW regression
   std::printf("  %2d clients: %3d commands in %7.3fs = %7.2f q/s  "
               "(resident copies %d%s)\n",
@@ -465,7 +466,7 @@ WarmSeedRun RunWarmSeedVariant(const Dataset& data, const Ranking& given,
   run.b_nodes = b_first.outcome->result.stats.nodes_explored;
   run.b_error = b_first.outcome->result.error;
   run.proven = b_first.outcome->result.proven_optimal;
-  run.shared_draws = registry.Stats().shared_draws;
+  run.shared_draws = registry.Stats()[kStatSharedDrawn];
   // B solves the identical base problem: the optima must agree regardless
   // of sharing (candidates are revalidated, never trusted as bounds).
   if (run.proven && run.b_error != run.a_error) run.ok = false;

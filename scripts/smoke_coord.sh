@@ -4,9 +4,11 @@
 # with `rankhow_coord` pinning one dataset to each, and drive two clients
 # through the coordinator over bash's /dev/tcp — one per shard. Every
 # proven result must equal a serial `--session` replay of the same script
-# through the same binary, and the aggregated `stats` line must carry the
-# coord_* fields with a per-worker breakdown. check.sh runs this right
-# after smoke_listen; it needs only bash + coreutils.
+# through the same binary, the aggregated `stats` line must carry the
+# coord_* fields with a per-worker breakdown, and the fleet `metrics` line
+# must merge the workers' latency histograms (its solve.count is the sum
+# of theirs, and it carries the raw bucket field). check.sh runs this
+# right after smoke_listen; it needs only bash + coreutils.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
@@ -133,6 +135,32 @@ grep -Eq "^ok c2 line=2 error=[0-9]+ bound=[0-9]+ proven=yes" <<<"$OUT2" \
     || fail "c2 solve response"
 grep -q "^ok quit$" <<<"$OUT2" || fail "c2 quit"
 
+# Fleet metrics: both clients quit, so every solve sample is recorded (a
+# graceful close waits for the strand that records it). The coordinator's
+# solve block must merge the workers' blocks: counts add up, and the raw
+# buckets travel with it.
+metrics_at() {  # $1 = port; prints that server's `ok metrics` line
+  exec 3<>"/dev/tcp/127.0.0.1/$1"
+  printf 'metrics\nquit\n' >&3
+  timeout 30 cat <&3 | grep '^ok metrics ' || true
+  exec 3<&- 3>&-
+}
+field() {  # $1 = line, $2 = field name; prints its numeric value
+  sed -n "s/.* $2=\([0-9]*\).*/\1/p" <<<"$1"
+}
+M1=$(metrics_at "$P1")
+M2=$(metrics_at "$P2")
+FLEET=$(metrics_at "$PORT")
+echo "--- fleet metrics (via coordinator) ---"; echo "$FLEET"
+[[ -n "$M1" && -n "$M2" && -n "$FLEET" ]] || fail "metrics round trips"
+C1=$(field "$M1" solve.count)
+C2=$(field "$M2" solve.count)
+CF=$(field "$FLEET" solve.count)
+[[ -n "$C1" && -n "$C2" && "$CF" == "$((C1 + C2))" ]] \
+    || fail "fleet solve.count=$CF is not w0's $C1 + w1's $C2"
+grep -q " solve.buckets=[0-9]" <<<"$FLEET" || fail "fleet solve.buckets field"
+grep -q " coord_workers=2 " <<<"$FLEET" || fail "fleet metrics coord fields"
+
 # Acceptance cross-check: results through the coordinator must equal a
 # serial --session replay of the same script through the same binary.
 printf 'solve\nmin-weight PTS 0.1\n' > "$WORK/script.txt"
@@ -154,4 +182,5 @@ $wire_errors | tr '\n' ' '))"
 done
 
 echo "smoke_coord: OK (coordinator on $PORT fronting workers $P1/$P2," \
-     "2 clients on 2 pinned shards, wire == serial replay)"
+     "2 clients on 2 pinned shards, wire == serial replay," \
+     "fleet solve.count=$CF merged from $C1 + $C2)"

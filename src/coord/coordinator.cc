@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +13,7 @@
 
 #include "net/frame.h"
 #include "server/wire.h"
+#include "util/histogram.h"
 #include "util/string_util.h"
 
 namespace rankhow {
@@ -27,54 +27,7 @@ constexpr int kForwardRetryMs = 8000;
 /// deadline).
 constexpr int kQuitDrainMs = 30000;
 
-/// Fields merged by max instead of sum: high-water marks, latency
-/// quantiles, and the sticky degraded flags (any worker degraded means
-/// the fleet is degraded).
-bool IsMaxMerged(const std::string& name) {
-  if (name == "journal_degraded" || name == "cache_degraded") return true;
-  if (name.size() > 3 && name.compare(name.size() - 3, 3, "_us") == 0) {
-    return true;
-  }
-  return name.find("peak") != std::string::npos;
-}
-
 }  // namespace
-
-std::string AggregateFieldLines(const std::vector<std::string>& lines) {
-  std::vector<std::string> order;
-  std::map<std::string, std::string> first_value;
-  std::map<std::string, long long> numeric;
-  std::map<std::string, bool> is_numeric;
-  for (const std::string& line : lines) {
-    for (const std::string& token : Split(line, ' ')) {
-      if (token.empty()) continue;
-      const size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0) continue;
-      const std::string name = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      Result<int64_t> parsed = ParseInt(value);
-      auto seen = first_value.find(name);
-      if (seen == first_value.end()) {
-        order.push_back(name);
-        first_value[name] = value;
-        is_numeric[name] = parsed.ok();
-        numeric[name] = parsed.ok() ? static_cast<long long>(*parsed) : 0;
-      } else if (is_numeric[name] && parsed.ok()) {
-        const long long v = static_cast<long long>(*parsed);
-        numeric[name] =
-            IsMaxMerged(name) ? std::max(numeric[name], v) : numeric[name] + v;
-      }
-    }
-  }
-  std::string out;
-  for (const std::string& name : order) {
-    if (!out.empty()) out += ' ';
-    out += name + "=";
-    out += is_numeric[name] ? std::to_string(numeric[name])
-                            : first_value[name];
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Downstream: one accepted client connection
@@ -687,7 +640,6 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
   const std::string prefix = std::string("ok ") + verb + " ";
   std::vector<std::string> field_lines;
   std::string breakdown;
-  int up_count = 0;
   const int num_workers = server_->supervisor_->num_workers();
   for (int w = 0; w < num_workers; ++w) {
     bool got = false;
@@ -699,7 +651,6 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
         got = true;
       }
     }
-    if (got) ++up_count;
     breakdown += StrFormat(
         " w%d=%s:%s", w,
         server_->shard_map_.workers()[static_cast<size_t>(w)].spec.c_str(),
@@ -712,17 +663,15 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
   }
   const CoordCounters counters = server_->counters();
   std::string line = prefix + AggregateFieldLines(field_lines);
-  line += " " + RenderStatsLine({
-      {"coord_workers", num_workers},
-      {"coord_up", up_count},
-      {"coord_sessions", counters.sessions_opened},
-      {"coord_commands", counters.commands_proxied},
-      {"coord_failovers", counters.failovers},
-      {"coord_failover_sessions", counters.failover_sessions},
-      {"coord_failover_failures", counters.failover_failures},
-      {"coord_replayed", counters.replayed_edits},
-      {"coord_replay_errors", counters.replay_errors},
-  });
+  AppendField(&line, "coord_workers", num_workers);
+  AppendField(&line, "coord_up", static_cast<int64_t>(field_lines.size()));
+  AppendField(&line, "coord_sessions", counters.sessions_opened);
+  AppendField(&line, "coord_commands", counters.commands_proxied);
+  AppendField(&line, "coord_failovers", counters.failovers);
+  AppendField(&line, "coord_failover_sessions", counters.failover_sessions);
+  AppendField(&line, "coord_failover_failures", counters.failover_failures);
+  AppendField(&line, "coord_replayed", counters.replayed_edits);
+  AppendField(&line, "coord_replay_errors", counters.replay_errors);
   line += breakdown;
   Emit(line);
 }

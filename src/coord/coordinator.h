@@ -26,8 +26,11 @@
 ///     their `line=` rewritten from worker numbering to downstream
 ///     numbering (the only byte the coordinator changes);
 ///   * `stats`/`metrics` scatter-gather across up workers into one
-///     aggregated line (counters sum, gauges max) plus `coord_*` fields
-///     and a per-worker up/down breakdown;
+///     aggregated line (AggregateFieldLines, util/histogram.h: each field
+///     merges by its declared kind — counters and gauges sum, high-water
+///     marks and degraded flags take the max, latency histograms merge
+///     bucket-wise) plus `coord_*` fields and a per-worker up/down
+///     breakdown;
 ///   * worker death: each affected session's acked edits (captured
 ///     coordinator-side, mirroring the journal's acked ⊆ journaled
 ///     invariant) replay onto a replacement; a subsequent `open` of that
@@ -118,13 +121,6 @@ class CoordServer {
   std::atomic<long long> c_replayed_edits_{0};
   std::atomic<long long> c_replay_errors_{0};
 };
-
-/// Merges worker `stats`/`metrics` field lines into one: field order from
-/// the first line (so a single-worker aggregate is the identity), values
-/// summed, except max-merged gauges — names ending `_us`, containing
-/// `peak`, or in {journal_degraded, cache_degraded}. Non-numeric values
-/// keep the first worker's copy. Exposed for unit tests.
-std::string AggregateFieldLines(const std::vector<std::string>& lines);
 
 }  // namespace rankhow
 

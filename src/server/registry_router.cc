@@ -7,6 +7,20 @@
 
 namespace rankhow {
 
+namespace {
+
+/// Adds one registry's `stats` fields into `into`, each by its kind.
+/// Without gauges it keeps only what outlives an evicted registry.
+void MergeStats(const StatsValues& from, bool gauges, StatsValues* into) {
+  for (int f = 0; f < kNumStats; ++f) {
+    if (gauges || kStatsFields[f].kind != kGauge) {
+      (*into)[f] = MergeMetric(kStatsFields[f].kind, (*into)[f], from[f]);
+    }
+  }
+}
+
+}  // namespace
+
 RegistryRouter::RegistryRouter(RouterOptions options)
     : options_(std::move(options)) {
   if (!options_.warm_cache_dir.empty()) {
@@ -53,6 +67,32 @@ std::string RegistryRouter::JournalPath(const std::string& id) const {
   return options_.journal_dir + "/" + id + ".journal";
 }
 
+std::unique_ptr<SessionJournal> RegistryRouter::OpenJournal(
+    const std::string& id, uint64_t fingerprint) const {
+  Result<std::unique_ptr<SessionJournal>> journal = SessionJournal::Open(
+      JournalPath(id), id, fingerprint, options_.journal);
+  if (journal.ok()) return journal.MoveValue();
+  // Durability is best-effort by design: serve without it, loudly.
+  std::fprintf(stderr,
+               "rankhow: journal open failed for dataset %s: %s "
+               "(serving without durability)\n",
+               id.c_str(), journal.status().message().c_str());
+  return nullptr;
+}
+
+void RegistryRouter::InstallRegistryLocked(
+    CatalogEntry* entry, DatasetBundle bundle,
+    std::unique_ptr<SessionJournal> journal) {
+  if (entry->journal == nullptr) entry->journal = std::move(journal);
+  ServerOptions server = options_.server;
+  server.journal = entry->journal.get();
+  server.warm_cache = warm_cache_.get();
+  entry->registry = std::make_shared<SessionRegistry>(
+      std::move(bundle.data), std::move(bundle.given),
+      std::move(bundle.labels), server);
+  ++counted_[kStatLoaded];
+}
+
 Status RegistryRouter::RegisterDataset(const std::string& id, Loader loader) {
   if (id.empty()) return Status::Invalid("dataset id must be non-empty");
   if (loader == nullptr) {
@@ -91,7 +131,7 @@ void RegistryRouter::EvictIdleSessionsLocked(
     }
     if (victim.empty()) return;  // everything is busy; the caller fails
     routes_.erase(victim);
-    ++sessions_evicted_;
+    ++counted_[kStatEvictedSessions];
     lock.unlock();
     // Abort mode: the victim was idle (queue empty), so this just frees
     // the session. kNotFound (a concurrent Close won) is fine.
@@ -146,19 +186,8 @@ Status RegistryRouter::Open(const std::string& client,
     Result<DatasetBundle> bundle = loader();
     std::unique_ptr<SessionJournal> fresh_journal;
     if (bundle.ok() && !options_.journal_dir.empty()) {
-      const uint64_t fp = DatasetFingerprint(bundle->data.get(),
-                                             bundle->given);
-      Result<std::unique_ptr<SessionJournal>> journal = SessionJournal::Open(
-          JournalPath(dataset), dataset, fp, options_.journal);
-      if (journal.ok()) {
-        fresh_journal = std::move(*journal);
-      } else {
-        // Durability is best-effort by design: serve without it, loudly.
-        std::fprintf(stderr,
-                     "rankhow: journal open failed for dataset %s: %s "
-                     "(serving without durability)\n",
-                     dataset.c_str(), journal.status().message().c_str());
-      }
+      fresh_journal = OpenJournal(
+          dataset, DatasetFingerprint(bundle->data.get(), bundle->given));
     }
     lock.lock();
     if (!bundle.ok()) {
@@ -174,21 +203,12 @@ Status RegistryRouter::Open(const std::string& client,
       return Status::NotFound("dataset evicted while loading: " + dataset);
     }
     if (it->second.registry == nullptr) {
-      // The journal survives registry evictions (and recovery may have
-      // opened it first) — only install ours if the entry has none.
-      if (it->second.journal == nullptr) {
-        it->second.journal = std::move(fresh_journal);
-      }
-      ServerOptions server = options_.server;
-      server.journal = it->second.journal.get();
-      server.warm_cache = warm_cache_.get();
       // Constructed under the lock (unlike the load): the registry must
-      // bind whichever journal the catalog entry owns, and that is only
+      // bind whichever journal the catalog entry owns — recovery or an
+      // earlier residence may have opened it first — and that is only
       // knowable here.
-      it->second.registry = std::make_shared<SessionRegistry>(
-          std::move(bundle->data), std::move(bundle->given),
-          std::move(bundle->labels), server);
-      ++datasets_loaded_;
+      InstallRegistryLocked(&it->second, bundle.MoveValue(),
+                            std::move(fresh_journal));
       // Enforce the resident budget: LRU-evict an idle zero-client
       // registry (never the one just installed); if every other resident
       // registry still has clients, roll back this load and fail.
@@ -207,7 +227,7 @@ Status RegistryRouter::Open(const std::string& client,
           if (cit->second.registry == nullptr || cit->first == dataset) {
             continue;
           }
-          if (cit->second.registry->Stats().open_clients > 0 ||
+          if (cit->second.registry->Stats()[kStatClients] > 0 ||
               cit->second.registry->Busy()) {
             continue;
           }
@@ -217,7 +237,7 @@ Status RegistryRouter::Open(const std::string& client,
           }
         }
         if (victim == catalog_.end()) {
-          // Roll the load back (datasets_loaded_ keeps counting the loader
+          // Roll the load back (`loaded` keeps counting the loader
           // invocation — it is the lazy-load cost metric, not residency).
           doomed.push_back(std::move(it->second.registry));
           it->second.registry = nullptr;
@@ -231,8 +251,9 @@ Status RegistryRouter::Open(const std::string& client,
         // The registry and its shared pool die here, so their counters
         // move to the retired total; the journal and the warm cache
         // outlive it and keep counting their own.
-        retired_ += victim->second.registry->Stats();
-        ++registries_evicted_;
+        MergeStats(victim->second.registry->Stats(), /*gauges=*/false,
+                   &counted_);
+        ++counted_[kStatEvictedRegistries];
         doomed.push_back(std::move(victim->second.registry));
         victim->second.registry = nullptr;
       }
@@ -358,10 +379,9 @@ Result<RecoverReport> RegistryRouter::RecoverFromJournals() {
     }
     const uint64_t fingerprint =
         DatasetFingerprint(bundle->data.get(), bundle->given);
-
-    // Materialize journal + registry for this dataset now, with recording
-    // off so the replayed opens/edits don't re-append records the log
-    // already holds.
+    std::unique_ptr<SessionJournal> fresh_journal =
+        OpenJournal(id, fingerprint);
+    std::shared_ptr<SessionRegistry> registry;
     SessionJournal* journal = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -369,34 +389,15 @@ Result<RecoverReport> RegistryRouter::RecoverFromJournals() {
       if (entry == catalog_.end() || entry->second.registry != nullptr) {
         continue;
       }
-      if (entry->second.journal == nullptr) {
-        Result<std::unique_ptr<SessionJournal>> opened = SessionJournal::Open(
-            path, id, fingerprint, options_.journal);
-        if (opened.ok()) {
-          entry->second.journal = std::move(*opened);
-        } else {
-          std::fprintf(stderr,
-                       "rankhow: journal open failed for dataset %s: %s "
-                       "(recovering without durability)\n",
-                       id.c_str(), opened.status().message().c_str());
-        }
-      }
-      journal = entry->second.journal.get();
-      if (journal != nullptr) journal->set_recording(false);
-      ServerOptions server = options_.server;
-      server.journal = journal;
-      server.warm_cache = warm_cache_.get();
-      entry->second.registry = std::make_shared<SessionRegistry>(
-          std::move(bundle->data), std::move(bundle->given),
-          std::move(bundle->labels), server);
+      InstallRegistryLocked(&entry->second, bundle.MoveValue(),
+                            std::move(fresh_journal));
       entry->second.last_used = ++clock_;
-      ++datasets_loaded_;
+      registry = entry->second.registry;
+      journal = entry->second.journal.get();
     }
-    std::shared_ptr<SessionRegistry> registry;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      registry = catalog_.find(id)->second.registry;
-    }
+    // Recording off, so the replayed opens/edits don't re-append records
+    // the log already holds.
+    if (journal != nullptr) journal->set_recording(false);
     ++report.datasets;
 
     for (auto& [client, state] : live) {
@@ -438,7 +439,10 @@ Result<RecoverReport> RegistryRouter::RecoverFromJournals() {
     if (journal != nullptr) journal->set_recording(true);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  recovered_ = report;
+  counted_[kStatRecoverReplayed] = report.replayed;
+  counted_[kStatRecoverTruncated] = report.truncated;
+  counted_[kStatRecoverSkipped] = report.skipped;
+  counted_[kStatRecoverSessions] = report.sessions;
   return report;
 }
 
@@ -508,30 +512,40 @@ void RegistryRouter::Drain() {
   for (const auto& registry : registries) registry->Drain();
 }
 
-RegistryRouterStats RegistryRouter::Stats() const {
+StatsValues RegistryRouter::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  RegistryRouterStats stats;
-  static_cast<RegistryCounters&>(stats) = retired_;
-  stats.registered_datasets = static_cast<int>(catalog_.size());
-  stats.datasets_loaded = datasets_loaded_;
-  stats.registries_evicted = registries_evicted_;
-  stats.sessions_evicted = sessions_evicted_;
-  stats.recovered = recovered_;
-  if (warm_cache_ != nullptr) stats.cache = warm_cache_->Stats();
+  StatsValues stats = counted_;
+  if (warm_cache_ != nullptr) {
+    const WarmCacheStats cache = warm_cache_->Stats();
+    stats[kStatCacheHits] = cache.hits;
+    stats[kStatCacheMisses] = cache.misses;
+    stats[kStatCacheDemotions] = cache.demotions;
+    stats[kStatCachePublishes] = cache.published;
+    stats[kStatCacheEntries] = cache.entries;
+    stats[kStatCacheAppended] = cache.appended;
+    stats[kStatCacheLoaded] = cache.loaded;
+    stats[kStatCacheSkipped] = cache.skipped;
+    stats[kStatCacheDegraded] = cache.degraded;
+  }
   for (const auto& [id, entry] : catalog_) {
     (void)id;
     if (entry.journal != nullptr) {
-      JournalStats j = entry.journal->Stats();
-      stats.journal_records += j.records_appended;
-      stats.journal_fsyncs += j.fsyncs;
-      stats.journal_fsync_failures += j.fsync_failures;
-      if (j.degraded) ++stats.journal_degraded;
+      const JournalStats j = entry.journal->Stats();
+      stats[kStatJournalRecords] += j.records_appended;
+      stats[kStatJournalFsyncs] += j.fsyncs;
+      stats[kStatJournalFsyncFailures] += j.fsync_failures;
+      if (j.degraded) ++stats[kStatJournalDegraded];
     }
     if (entry.registry == nullptr) continue;
-    ++stats.resident_registries;
-    stats += entry.registry->Stats();
+    ++stats[kStatRegistries];
+    MergeStats(entry.registry->Stats(), /*gauges=*/true, &stats);
   }
   return stats;
+}
+
+int RegistryRouter::registered_datasets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(catalog_.size());
 }
 
 std::string RegistryRouter::ClientDataset(const std::string& client) const {

@@ -93,30 +93,6 @@ struct RecoverReport {
   int64_t replay_failures = 0;
 };
 
-/// Router-level snapshot: the registry counters and gauges summed over
-/// every resident registry, plus the counters of evicted registries (so
-/// `commands`/`forks` never go backwards), the router's own load and
-/// eviction counts, and what the journals, the warm cache and recovery
-/// report about themselves.
-struct RegistryRouterStats : SessionRegistryStats {
-  int registered_datasets = 0;
-  int resident_registries = 0;
-  int64_t datasets_loaded = 0;      // loader invocations (lazy-load metric)
-  int64_t registries_evicted = 0;
-  int64_t sessions_evicted = 0;
-  /// Journal writer totals over every open journal (all 0 when
-  /// RouterOptions::journal_dir is empty).
-  int64_t journal_records = 0;
-  int64_t journal_fsyncs = 0;
-  int64_t journal_fsync_failures = 0;
-  int journal_degraded = 0;  // journals that fell to journal-off mode
-  /// The router's warm cache, as the cache counts it (all 0 when
-  /// RouterOptions::warm_cache_dir is empty).
-  WarmCacheStats cache;
-  /// The startup RecoverFromJournals() report (zeros when never run).
-  RecoverReport recovered;
-};
-
 class RegistryRouter {
  public:
   /// What a dataset loader yields: everything a SessionRegistry needs.
@@ -164,7 +140,8 @@ class RegistryRouter {
   /// startup, before serving — replay is single-threaded and runs the
   /// edits through the same ApplySessionCommand path the live server used;
   /// no solves re-run. No-op when journal_dir is empty or no journals
-  /// exist. The report is also surfaced through Stats().recovered.
+  /// exist. The report's record and session counts are also `stats`
+  /// fields (recover_*).
   Result<RecoverReport> RecoverFromJournals();
 
   /// Routes one command to the client's registry strand. kNotFound for
@@ -184,7 +161,13 @@ class RegistryRouter {
   /// SessionCallback.
   void Drain();
 
-  RegistryRouterStats Stats() const;
+  /// The `stats` fields: the resident registries' summed by kind, plus
+  /// the counters of evicted ones (so `commands`/`forks` never go
+  /// backwards), the router's own load and eviction counts, and what the
+  /// journals, the warm cache and RecoverFromJournals() report.
+  StatsValues Stats() const;
+  /// Catalog entries, loaded or not.
+  int registered_datasets() const;
 
   /// The dataset id a client is bound to (empty when unknown) — the wire
   /// layer's `open` ack echoes it.
@@ -217,6 +200,16 @@ class RegistryRouter {
 
   /// `<journal_dir>/<id>.journal` (journal_dir is known non-empty).
   std::string JournalPath(const std::string& id) const;
+  /// Opens the journal of a freshly loaded dataset; null, loudly, when
+  /// that fails — the dataset then serves without durability.
+  std::unique_ptr<SessionJournal> OpenJournal(const std::string& id,
+                                              uint64_t fingerprint) const;
+  /// Builds `entry`'s registry over a loaded bundle. The entry keeps the
+  /// journal it already has (journals outlive registry evictions) and
+  /// otherwise takes `journal`; the registry writes to that journal and
+  /// draws on the warm cache. Counts the load. Must hold mu_.
+  void InstallRegistryLocked(CatalogEntry* entry, DatasetBundle bundle,
+                             std::unique_ptr<SessionJournal> journal);
 
   RouterOptions options_;
   /// The router-owned persistent warm cache (null = off). Registries point
@@ -231,12 +224,10 @@ class RegistryRouter {
   std::map<std::string, Route> routes_;
   std::string default_dataset_;
   uint64_t clock_ = 0;
-  int64_t datasets_loaded_ = 0;
-  int64_t registries_evicted_ = 0;
-  int64_t sessions_evicted_ = 0;
-  /// Counters of evicted registries, kept so totals stay cumulative.
-  RegistryCounters retired_;
-  RecoverReport recovered_;
+  /// What the router counts itself — loads, evictions, the recovery
+  /// report — plus what evicted registries counted (their non-gauge
+  /// fields, so totals stay cumulative), in their `stats` slots.
+  StatsValues counted_{};
 };
 
 }  // namespace rankhow

@@ -27,26 +27,6 @@ Status ClosedStatus() {
 
 }  // namespace
 
-RegistryCounters& RegistryCounters::operator+=(const RegistryCounters& other) {
-  commands_executed += other.commands_executed;
-  dataset_forks += other.dataset_forks;
-  shared_publishes += other.shared_publishes;
-  shared_draws += other.shared_draws;
-  commands_shed += other.commands_shed;
-  closes_graceful += other.closes_graceful;
-  closes_aborted += other.closes_aborted;
-  return *this;
-}
-
-SessionRegistryStats& SessionRegistryStats::operator+=(
-    const SessionRegistryStats& other) {
-  RegistryCounters::operator+=(other);
-  open_clients += other.open_clients;
-  resident_dataset_copies += other.resident_dataset_copies;
-  pending_commands += other.pending_commands;
-  return *this;
-}
-
 SessionRegistry::SessionRegistry(SharedDataset data, Ranking given,
                                  std::vector<std::string> labels,
                                  ServerOptions options)
@@ -74,7 +54,7 @@ SessionRegistry::~SessionRegistry() {
         while (!client->queue.empty()) {
           dropped.emplace_back(name, std::move(client->queue.front().second));
           client->queue.pop_front();
-          --pending_commands_;
+          --stats_[kStatPending];
         }
       }
     }
@@ -168,7 +148,7 @@ Status SessionRegistry::ReplayEdit(const std::string& client,
 
 void SessionRegistry::NoteSnapshotLocked(Client* client) {
   const void* id = client->session->shared_data().snapshot_id();
-  if (id != client->snapshot_id) ++dataset_forks_;
+  if (id != client->snapshot_id) ++stats_[kStatForks];
   client->snapshot_id = id;
 }
 
@@ -182,16 +162,16 @@ Status SessionRegistry::Submit(const std::string& client,
   // Overload shedding: reject *new* work at the watermark with a retry
   // hint, before it ever queues — commands already accepted always run.
   if (options_.max_pending_commands > 0 &&
-      pending_commands_ >= options_.max_pending_commands) {
-    ++commands_shed_;
+      stats_[kStatPending] >= options_.max_pending_commands) {
+    ++stats_[kStatShed];
     return Status::ResourceExhausted(
-        "server overloaded (" + std::to_string(pending_commands_) +
+        "server overloaded (" + std::to_string(stats_[kStatPending]) +
         " pending commands) RETRY-AFTER=" +
         std::to_string(kShedRetryAfterMs) + "ms");
   }
   std::shared_ptr<Client> entry = it->second;
   entry->queue.emplace_back(std::move(command), std::move(done));
-  ++pending_commands_;
+  ++stats_[kStatPending];
   if (!entry->running) {
     entry->running = true;
     pool_.Submit([this, client, entry] { RunStrand(client, entry); });
@@ -216,7 +196,7 @@ void SessionRegistry::RunStrand(const std::string& name,
       done = std::move(client->queue.front().second);
       client->queue.pop_front();
       dropped = client->closing;
-      if (dropped) --pending_commands_;
+      if (dropped) --stats_[kStatPending];
     }
     if (dropped) {
       if (done) done(name, ClosedStatus());
@@ -251,8 +231,8 @@ void SessionRegistry::RunStrand(const std::string& name,
     {
       std::lock_guard<std::mutex> lock(mu_);
       NoteSnapshotLocked(client.get());
-      ++commands_executed_;
-      --pending_commands_;
+      ++stats_[kStatCommands];
+      --stats_[kStatPending];
     }
     if (done) done(name, outcome);
   }
@@ -285,7 +265,7 @@ Status SessionRegistry::Close(const std::string& client, bool graceful) {
         while (!entry->queue.empty()) {
           dropped.push_back(std::move(entry->queue.front().second));
           entry->queue.pop_front();
-          --pending_commands_;
+          --stats_[kStatPending];
         }
       }
     }
@@ -306,11 +286,7 @@ Status SessionRegistry::Close(const std::string& client, bool graceful) {
   if (again != clients_.end() && again->second == entry) {
     clients_.erase(again);
     erased = true;
-    if (graceful) {
-      ++closes_graceful_;
-    } else {
-      ++closes_aborted_;
-    }
+    ++stats_[graceful ? kStatClosedGraceful : kStatClosedAborted];
   }
   lock.unlock();
   if (erased && options_.journal != nullptr) options_.journal->LogClose(client);
@@ -328,27 +304,21 @@ void SessionRegistry::Drain() {
   });
 }
 
-SessionRegistryStats SessionRegistry::Stats() const {
+StatsValues SessionRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SessionRegistryStats stats;
-  stats.open_clients = static_cast<int>(clients_.size());
+  StatsValues stats = stats_;
   std::set<const void*> snapshots = {base_.snapshot_id()};
   for (const auto& [name, client] : clients_) {
     (void)name;
     snapshots.insert(client->snapshot_id);
   }
-  stats.resident_dataset_copies = static_cast<int>(snapshots.size());
-  stats.commands_executed = commands_executed_;
-  stats.dataset_forks = dataset_forks_;
-  stats.pending_commands = pending_commands_;
-  stats.commands_shed = commands_shed_;
-  stats.closes_graceful = closes_graceful_;
-  stats.closes_aborted = closes_aborted_;
+  stats[kStatClients] = static_cast<int64_t>(clients_.size());
+  stats[kStatDatasets] = static_cast<int64_t>(snapshots.size());
   if (shared_pool_ != nullptr) {
     // The pool has its own lock and counts its own traffic.
     const SharedIncumbentPoolStats pool = shared_pool_->Stats();
-    stats.shared_publishes = pool.published;
-    stats.shared_draws = pool.drawn;
+    stats[kStatSharedPublished] = pool.published;
+    stats[kStatSharedDrawn] = pool.drawn;
   }
   return stats;
 }

@@ -47,6 +47,7 @@
 #include "ranking/ranking.h"
 #include "ranking/shared_ranking.h"
 #include "server/journal.h"
+#include "util/histogram.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -92,47 +93,6 @@ struct ServerOptions {
   /// kResourceExhausted (carrying a RETRY-AFTER=250ms hint) instead of
   /// queueing — already-queued commands always finish. 0 = off.
   int max_pending_commands = 0;
-};
-
-/// A registry's cumulative counters: what the registry counts itself
-/// (commands, copy-on-write forks, shed submits, closes) plus what its
-/// shared incumbent pool counts (publishes, draws). Summable, so the router
-/// keeps an evicted registry's totals with one `+=`.
-struct RegistryCounters {
-  /// Commands fully executed (callback delivered), across all clients.
-  int64_t commands_executed = 0;
-  /// Copy-on-write forks: a client's dataset snapshot changed across a
-  /// command (an `append` on a snapshot still shared with siblings).
-  int64_t dataset_forks = 0;
-  /// Cross-client shared incumbent pool traffic (0 when
-  /// ServerOptions::share_incumbents is off).
-  int64_t shared_publishes = 0;
-  int64_t shared_draws = 0;
-  /// Submits rejected by the overload-shedding admission gate.
-  int64_t commands_shed = 0;
-  /// Close accounting: graceful (wire `close` / quit — the queue finished
-  /// first) vs aborted (EOF without quit, eviction, cancel-style Close).
-  /// Distinct so chaos tests can assert a vanished peer was *aborted*.
-  int64_t closes_graceful = 0;
-  int64_t closes_aborted = 0;
-
-  RegistryCounters& operator+=(const RegistryCounters& other);
-};
-
-/// A registry snapshot (see Stats()): its counters plus the gauges that
-/// describe it right now. Warm-cache traffic is not here — the cache counts
-/// it (WarmCache::Stats), and a router shares one cache across registries.
-struct SessionRegistryStats : RegistryCounters {
-  int open_clients = 0;
-  /// Distinct physical dataset snapshots resident across the registry's
-  /// base handle and every open client — 1 until some client's structural
-  /// edit forks (the acceptance metric for the COW layer).
-  int resident_dataset_copies = 0;
-  /// Commands queued or in flight right now (the shedding watermark input).
-  int pending_commands = 0;
-
-  /// Sums counters and gauges alike (the router's total over registries).
-  SessionRegistryStats& operator+=(const SessionRegistryStats& other);
 };
 
 /// Per-command completion signature shared by SessionRegistry and the
@@ -209,7 +169,9 @@ class SessionRegistry {
   /// from a Callback.
   void Drain();
 
-  SessionRegistryStats Stats() const;
+  /// The registry's fields of the `stats` line (RANKHOW_STATS_FIELDS in
+  /// util/histogram.h); the others stay 0.
+  StatsValues Stats() const;
   const std::vector<std::string>& labels() const { return labels_; }
 
   /// True iff any client has a command running or queued (a non-blocking
@@ -261,13 +223,11 @@ class SessionRegistry {
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
   std::map<std::string, std::shared_ptr<Client>> clients_;
-  int64_t commands_executed_ = 0;
-  int64_t dataset_forks_ = 0;
-  /// Queued + in-flight commands across all clients (shedding input).
-  int pending_commands_ = 0;
-  int64_t commands_shed_ = 0;
-  int64_t closes_graceful_ = 0;
-  int64_t closes_aborted_ = 0;
+  /// The `stats` fields the registry keeps itself, in their slots: the
+  /// commands, forks, shed submits and closes it counts, and `pending`,
+  /// the queued + in-flight commands across all clients that the shedding
+  /// gate reads.
+  StatsValues stats_{};
 };
 
 }  // namespace rankhow

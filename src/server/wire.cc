@@ -186,40 +186,12 @@ std::string FrameAck(bool binary) {
 }
 
 std::string RouterStatsLine(const RegistryRouter& router) {
-  const RegistryRouterStats s = router.Stats();
-  return RenderStatsLine({
-      {"registries", s.resident_registries},
-      {"clients", s.open_clients},
-      {"datasets", s.resident_dataset_copies},
-      {"commands", s.commands_executed},
-      {"forks", s.dataset_forks},
-      {"loaded", s.datasets_loaded},
-      {"evicted_registries", s.registries_evicted},
-      {"evicted_sessions", s.sessions_evicted},
-      {"shared_published", s.shared_publishes},
-      {"shared_drawn", s.shared_draws},
-      {"pending", s.pending_commands},
-      {"shed", s.commands_shed},
-      {"closed_graceful", s.closes_graceful},
-      {"closed_aborted", s.closes_aborted},
-      {"journal_records", s.journal_records},
-      {"journal_fsyncs", s.journal_fsyncs},
-      {"journal_fsync_failures", s.journal_fsync_failures},
-      {"journal_degraded", s.journal_degraded},
-      {"recover_replayed", s.recovered.replayed},
-      {"recover_truncated", s.recovered.truncated},
-      {"recover_skipped", s.recovered.skipped},
-      {"recover_sessions", s.recovered.sessions},
-      {"cache_hits", s.cache.hits},
-      {"cache_misses", s.cache.misses},
-      {"cache_demotions", s.cache.demotions},
-      {"cache_publishes", s.cache.published},
-      {"cache_entries", s.cache.entries},
-      {"cache_appended", s.cache.appended},
-      {"cache_loaded", s.cache.loaded},
-      {"cache_skipped", s.cache.skipped},
-      {"cache_degraded", s.cache.degraded},
-  });
+  const StatsValues stats = router.Stats();
+  std::string line;
+  for (int f = 0; f < kNumStats; ++f) {
+    AppendField(&line, kStatsFields[f].name, stats[f]);
+  }
+  return line;
 }
 
 // ---------------------------------------------------------------------------

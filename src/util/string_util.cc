@@ -90,15 +90,11 @@ std::string Join(const std::vector<std::string>& items,
   return out;
 }
 
-std::string RenderStatsLine(std::initializer_list<StatsField> fields) {
-  std::string line;
-  for (const StatsField& field : fields) {
-    if (!line.empty()) line += ' ';
-    line += field.name;
-    line += '=';
-    line += std::to_string(field.value);
-  }
-  return line;
+void AppendField(std::string* line, std::string_view name, int64_t value) {
+  if (!line->empty()) *line += ' ';
+  *line += name;
+  *line += '=';
+  *line += std::to_string(value);
 }
 
 FlagParser::FlagParser(int argc, char** argv) {

@@ -7,7 +7,6 @@
 /// the server and the coordinator put on the wire.
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,15 +39,9 @@ std::string FormatDouble(double v, int precision = 6);
 /// Joins items with a separator.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);
 
-/// One field of a `stats`-style line: its wire name next to its value.
-struct StatsField {
-  const char* name;
-  int64_t value;
-};
-
-/// "name=value" per field, space-separated, in order — the shape of every
-/// counter list the server and the coordinator put on the wire.
-std::string RenderStatsLine(std::initializer_list<StatsField> fields);
+/// Appends "name=value" to a space-separated field line — the shape of
+/// every counter list the server and the coordinator put on the wire.
+void AppendField(std::string* line, std::string_view name, int64_t value);
 
 /// Very small command-line flag parser for harnesses/examples.
 ///

@@ -297,19 +297,19 @@ TEST(ChaosRecoveryTest, InProcessRecoveryMatchesSerialReplay) {
   EXPECT_EQ(solve.outcome->result.error, rig.SerialReplayError());
 
   // The report is also surfaced through Stats() for the wire layer.
-  RegistryRouterStats stats = router.Stats();
-  EXPECT_EQ(stats.recovered.sessions, 1);
-  EXPECT_EQ(stats.recovered.replayed, 4);
+  StatsValues stats = router.Stats();
+  EXPECT_EQ(stats[kStatRecoverSessions], 1);
+  EXPECT_EQ(stats[kStatRecoverReplayed], 4);
 
   // Recording was re-enabled once recovery finished: a fresh edit after
   // adoption journals again (journal_records counts THIS process's
   // appends — replayed history belongs to the dead one).
-  EXPECT_EQ(stats.journal_records, 0);
+  EXPECT_EQ(stats[kStatJournalRecords], 0);
   Slot edit;
   SubmitAndWait(&router, "alice",
                 Cmd(SessionCommand::Kind::kMinWeight, "A2", 0.01), &edit);
   ASSERT_TRUE(edit.outcome.ok()) << edit.outcome.status().ToString();
-  EXPECT_EQ(router.Stats().journal_records, 1);
+  EXPECT_EQ(router.Stats()[kStatJournalRecords], 1);
 }
 
 TEST(ChaosRecoveryTest, CorruptAndTornJournalLinesAreCountedNotFatal) {
@@ -487,11 +487,11 @@ TEST(ChaosShedTest, OverloadShedsNewWorkWithARetryAfterHint) {
   EXPECT_NE(shed.message().find("RETRY-AFTER="), std::string::npos)
       << shed.ToString();
   router.Drain();
-  EXPECT_GE(router.Stats().commands_shed, 1);
+  EXPECT_GE(router.Stats()[kStatShed], 1);
 
   // Accepted work always ran to completion — shedding refused work at the
   // door, it never cancelled anything in flight.
-  EXPECT_EQ(router.Stats().pending_commands, 0);
+  EXPECT_EQ(router.Stats()[kStatPending], 0);
 }
 
 TEST(ChaosWireTest, DeadlineVerbRoundTripsAndRejectsBadValues) {
@@ -559,9 +559,9 @@ TEST(ChaosWireTest, EofWithoutQuitCountsAnAbortedClose) {
     std::ostringstream out;
     ASSERT_TRUE(ServeStream(&router, in, out, serve_options).ok());
   }
-  RegistryRouterStats stats = router.Stats();
-  EXPECT_EQ(stats.closes_aborted, 1);
-  EXPECT_EQ(stats.closes_graceful, 0);
+  StatsValues stats = router.Stats();
+  EXPECT_EQ(stats[kStatClosedAborted], 1);
+  EXPECT_EQ(stats[kStatClosedGraceful], 0);
 
   {
     // A well-mannered connection: quit closes its clients gracefully.
@@ -570,8 +570,8 @@ TEST(ChaosWireTest, EofWithoutQuitCountsAnAbortedClose) {
     ASSERT_TRUE(ServeStream(&router, in, out, serve_options).ok());
   }
   stats = router.Stats();
-  EXPECT_EQ(stats.closes_aborted, 1);
-  EXPECT_EQ(stats.closes_graceful, 1);
+  EXPECT_EQ(stats[kStatClosedAborted], 1);
+  EXPECT_EQ(stats[kStatClosedGraceful], 1);
 }
 
 // ---------------------------------------------------------------------------

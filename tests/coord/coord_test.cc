@@ -3,8 +3,11 @@
 //  * ShardMap unit coverage: --workers/--shard-map parsing, fixed pins,
 //    sticky round-robin assignment, fall-over without rebinding, and the
 //    clean kIoError when nothing is alive.
-//  * AggregateFieldLines unit coverage: identity on one line, counters
-//    summed, gauges (peaks, _us quantiles, degraded flags) max-merged.
+//  * AggregateFieldLines over real worker lines: identity on one line,
+//    each field merged by its declared kind (journal_degraded summed,
+//    high-water marks max-merged), and the merge property — latencies split
+//    across 1-4 workers merge to the quantiles of one histogram of the
+//    union.
 //  * The routing acceptance walk: two in-process workers behind an
 //    in-process CoordServer, two clients on different pinned shards, every
 //    proven result equal to a serial single-session replay, and each
@@ -14,7 +17,8 @@
 //  * `open` against an unreachable worker answers a clean `err` line
 //    (never a hang) after the dial-probe-reroute loop runs dry.
 //  * Scatter-gather arithmetic over real workers: session counters sum,
-//    coord_* fields and the per-worker up/down breakdown appear.
+//    coord_* fields and the per-worker up/down breakdown appear, and the
+//    fleet's solve latencies are the bucket-wise merge of the workers'.
 //  * The docs/PROTOCOL.md conformance walk (tests/support) replayed
 //    through the coordinator — byte-identical behavior to a direct
 //    worker, modulo worker-side transport gauges.
@@ -22,14 +26,19 @@
 // SIGKILL-based coordinator failover lives in tests/chaos (chaos label);
 // this suite keeps everything in-process so it can run under tsan.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -51,6 +60,7 @@
 #include "server/registry_router.h"
 #include "server/wire.h"
 #include "tests/support/protocol_conformance.h"
+#include "util/fault.h"
 #include "util/histogram.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -106,7 +116,9 @@ RankHowOptions SpatialOptions() {
 }
 
 /// One in-process worker: the same router-backed reactor stack
-/// `rankhow_cli --listen` runs, serving datasets d0/d1.
+/// `rankhow_cli --listen` runs, serving datasets d0/d1. A non-empty
+/// `journal_dir` journals every record with an fsync, so an armed fsync
+/// fault degrades a dataset's journal at its first open.
 struct WorkerFixture {
   std::vector<Dataset> datasets;
   std::vector<Ranking> rankings;
@@ -115,7 +127,8 @@ struct WorkerFixture {
   std::unique_ptr<ReactorServer> server;
   int port = 0;
 
-  explicit WorkerFixture(uint64_t seed = 401, int n = 8, int k = 3) {
+  explicit WorkerFixture(uint64_t seed = 401, int n = 8, int k = 3,
+                         const std::string& journal_dir = "") {
     Rng rng(seed);
     for (int i = 0; i < 2; ++i) {
       datasets.push_back(RandomDataset(rng, n, 3));
@@ -124,6 +137,9 @@ struct WorkerFixture {
     RouterOptions options;
     options.server.solver = SpatialOptions();
     options.server.num_workers = 2;
+    options.journal_dir = journal_dir;
+    options.journal.fsync_every = 1;
+    options.journal.max_retries = 1;
     router = std::make_unique<RegistryRouter>(options);
     for (int i = 0; i < 2; ++i) {
       const Dataset& data = datasets[i];
@@ -216,6 +232,44 @@ long long ParseField(const std::string& text, const std::string& name) {
       text.substr(begin, end == std::string::npos ? end : end - begin));
   return value.ok() ? static_cast<long long>(*value) : -1;
 }
+
+/// Runs `script` through the worker's router over one stdio stream (the
+/// worker's own wire code, no socket; queued commands finish before it
+/// returns) and returns the body of its last `ok VERB ...` reply ("" when
+/// there is none, e.g. for VERB "" when the script runs for its effects).
+std::string ServeBody(WorkerFixture* worker, const std::string& script,
+                      const std::string& verb) {
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStreamOptions options;
+  options.metrics = &worker->metrics;
+  EXPECT_TRUE(ServeStream(worker->router.get(), in, out, options).ok());
+  const std::string prefix = "ok " + verb + " ";
+  std::string body;
+  for (const std::string& reply : Split(out.str(), '\n')) {
+    if (reply.rfind(prefix, 0) == 0) body = reply.substr(prefix.size());
+  }
+  return body;
+}
+
+/// A self-deleting scratch directory.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/rankhow_coord_XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+    EXPECT_FALSE(path.empty());
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// Disarms every fault point when the test ends, pass or fail.
+struct FaultGuard {
+  ~FaultGuard() { FaultInjector::Global().Reset(); }
+};
 
 /// A minimal stand-in worker for health tests: answers every text line
 /// with a plausible `ok stats` line, until stopped. Restartable on the
@@ -395,21 +449,87 @@ TEST(ShardMapTest, RoutingIsStickyAndFallsOverWithoutRebinding) {
 }
 
 TEST(AggregateTest, SingleLineIsIdentity) {
-  const std::string line =
-      "registries=2 clients=3 writes_queued_peak=640 solve.p99_us=1200 "
-      "journal_degraded=0 label=text";
-  EXPECT_EQ(AggregateFieldLines({line}), line);
+  // A real worker's `stats` and `metrics` bodies pass through unchanged,
+  // histogram blocks spanning several buckets included.
+  WorkerFixture worker;
+  for (uint64_t usec : {3, 90, 1500, 250000}) {
+    worker.metrics.RecordVerb(WireVerb::kSolve, usec);
+  }
+  ServeBody(&worker, "open a d0\na solve\na min-weight A0 0.05\n", "");
+  for (const std::string verb : {"stats", "metrics"}) {
+    const std::string body = ServeBody(&worker, verb + "\n", verb);
+    ASSERT_NE(body.find("="), std::string::npos) << verb;
+    EXPECT_EQ(AggregateFieldLines({body}), body);
+  }
 }
 
 TEST(AggregateTest, SumsCountersAndMaxMergesGauges) {
-  const std::vector<std::string> lines = {
-      "clients=2 commands=10 writes_queued_peak=100 solve.p99_us=50 "
-      "journal_degraded=0 cache_degraded=1 name=first",
-      "clients=3 commands=4 writes_queued_peak=700 solve.p99_us=20 "
-      "journal_degraded=1 cache_degraded=0 name=second extra=5"};
-  EXPECT_EQ(AggregateFieldLines(lines),
-            "clients=5 commands=14 writes_queued_peak=700 solve.p99_us=50 "
-            "journal_degraded=1 cache_degraded=1 name=first extra=5");
+  // Two real workers, each with one journal that degraded at its first
+  // open: journal_degraded counts journals, so the fleet has 2.
+  TempDir dir0, dir1;
+  FaultGuard guard;
+  FaultInjector::Global().Arm(faults::kJournalFsyncFail, 1, /*count=*/-1);
+  WorkerFixture w0(/*seed=*/401, 8, 3, dir0.path);
+  WorkerFixture w1(/*seed=*/402, 8, 3, dir1.path);
+  ServeBody(&w0, "open a d0\na solve\n", "");
+  ServeBody(&w1, "open b d1\nb solve\nb min-weight A0 0.05\n", "");
+  FaultInjector::Global().Reset();
+  w0.metrics.writes_queued_peak = 100;
+  w1.metrics.writes_queued_peak = 700;
+  const std::string s0 = ServeBody(&w0, "stats\n", "stats");
+  const std::string s1 = ServeBody(&w1, "stats\n", "stats");
+  ASSERT_EQ(ParseField(s0, "journal_degraded"), 1) << s0;
+  ASSERT_EQ(ParseField(s1, "journal_degraded"), 1) << s1;
+
+  const std::string merged = AggregateFieldLines({s0, s1});
+  EXPECT_EQ(ParseField(merged, "journal_degraded"), 2) << merged;
+  EXPECT_EQ(ParseField(merged, "clients"), 2) << merged;
+  EXPECT_EQ(ParseField(merged, "commands"), 3) << merged;
+  EXPECT_EQ(ParseField(merged, "journal_records"),
+            ParseField(s0, "journal_records") +
+                ParseField(s1, "journal_records"))
+      << merged;
+  EXPECT_EQ(ParseField(merged, "writes_queued_peak"), 700) << merged;
+  EXPECT_EQ(ParseField(merged, "cache_degraded"), 0) << merged;
+}
+
+TEST(AggregateTest, FleetQuantilesAreQuantilesOfTheSampleUnion) {
+  // Random latencies split across 1-4 workers: for every verb, the merged
+  // `metrics` line reports what one worker fed every sample reports.
+  Rng rng(2207);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int workers = static_cast<int>(rng.NextInt(1, 4));
+    std::vector<std::unique_ptr<ServerMetrics>> fleet;
+    for (int w = 0; w < workers; ++w) {
+      fleet.push_back(std::make_unique<ServerMetrics>());
+    }
+    ServerMetrics all;
+    for (int v = 0; v < kNumWireVerbs; ++v) {
+      const int samples = static_cast<int>(rng.NextInt(0, 30));
+      for (int i = 0; i < samples; ++i) {
+        // Log-uniform over 1 us .. 1 s, so samples span many buckets.
+        const uint64_t usec = static_cast<uint64_t>(
+            std::exp(rng.NextUniform(0, std::log(1e6))));
+        const WireVerb verb = static_cast<WireVerb>(v);
+        fleet[rng.NextBelow(workers)]->RecordVerb(verb, usec);
+        all.RecordVerb(verb, usec);
+      }
+    }
+    std::vector<std::string> lines;
+    for (const auto& metrics : fleet) lines.push_back(metrics->RenderWireLine());
+    const std::string merged = AggregateFieldLines(lines);
+    const std::string want = all.RenderWireLine();
+    for (int v = 0; v < kNumWireVerbs; ++v) {
+      for (const char* field :
+           {"count", "mean_us", "p50_us", "p99_us", "max_us"}) {
+        const std::string name =
+            std::string(kVerbHistograms[v].name) + "." + field;
+        EXPECT_EQ(ParseField(merged, name), ParseField(want, name))
+            << "trial " << trial << ", " << workers << " workers, " << name
+            << "\n merged: " << merged << "\n union:  " << want;
+      }
+    }
+  }
 }
 
 TEST(CoordTest, RoutesByShardMapAndMatchesSerialReplay) {
@@ -646,15 +766,64 @@ TEST(CoordTest, ScatterGatherSumsWorkerStatsWithBreakdown) {
   EXPECT_NE(merged->find(" w1=" + w1.Spec() + ":up"), std::string::npos)
       << *merged;
 
+  // One solve on each worker. A worker records the sample just after it
+  // sends the ack, so wait until each worker's own `metrics` shows it
+  // (health probes send only `stats`, so `solve` stays put after that).
+  ASSERT_TRUE(client.SendLine("a solve"));
+  ASSERT_TRUE(client.SendLine("b solve"));
+  for (int i = 0; i < 2; ++i) {
+    auto ack = client.ReadLine();
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->rfind("ok ", 0), 0u) << *ack;
+  }
+  std::vector<std::string> worker_metrics;
+  for (WorkerFixture* worker : {&w0, &w1}) {
+    LineClient direct;
+    ASSERT_TRUE(direct.ConnectTcp("127.0.0.1", worker->port));
+    std::optional<std::string> line;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      ASSERT_TRUE(direct.SendLine("metrics"));
+      line = direct.ReadLine();
+      ASSERT_TRUE(line.has_value());
+      if (ParseField(*line, "solve.count") == 1 ||
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(ParseField(*line, "solve.count"), 1) << *line;
+    worker_metrics.push_back(line->substr(std::strlen("ok metrics ")));
+  }
+
   // metrics scatter-gathers through the same path: the aggregate leads
-  // with summed connection gauges and keeps the per-verb histograms.
+  // with summed connection gauges, and its solve block is the bucket-wise
+  // merge of the workers' blocks.
   ASSERT_TRUE(client.SendLine("metrics"));
   auto metrics = client.ReadLine();
   ASSERT_TRUE(metrics.has_value());
   EXPECT_EQ(metrics->rfind("ok metrics connections=", 0), 0u) << *metrics;
   EXPECT_NE(metrics->find(" stats.count="), std::string::npos) << *metrics;
+  EXPECT_NE(metrics->find(" solve.buckets="), std::string::npos) << *metrics;
   EXPECT_NE(metrics->find(" coord_workers=2"), std::string::npos)
       << *metrics;
+  const std::string want = AggregateFieldLines(worker_metrics);
+  EXPECT_EQ(ParseField(*metrics, "solve.count"), 2) << *metrics;
+  EXPECT_EQ(ParseField(*metrics, "solve.max_us"),
+            std::max(ParseField(worker_metrics[0], "solve.max_us"),
+                     ParseField(worker_metrics[1], "solve.max_us")))
+      << *metrics;
+  // One sample per worker: the union's median is the lower sample, read
+  // at its bucket's lower edge — the smaller of the workers' own p50s.
+  EXPECT_EQ(ParseField(*metrics, "solve.p50_us"),
+            std::min(ParseField(worker_metrics[0], "solve.p50_us"),
+                     ParseField(worker_metrics[1], "solve.p50_us")))
+      << *metrics;
+  for (const char* field : {"solve.count", "solve.p50_us", "solve.max_us"}) {
+    EXPECT_EQ(ParseField(*metrics, field), ParseField(want, field))
+        << field << "\n fleet: " << *metrics << "\n merge: " << want;
+  }
 
   ASSERT_TRUE(client.SendLine("quit"));
   auto quit = client.ReadLine();

@@ -196,11 +196,11 @@ TEST(RegistryRouterTest, RoutesOpensByDatasetIdAndMatchesSerialReplay) {
     }
   }
 
-  RegistryRouterStats stats = router.Stats();
-  EXPECT_EQ(stats.registered_datasets, 2);
-  EXPECT_EQ(stats.resident_registries, 2);
-  EXPECT_EQ(stats.open_clients, 3);
-  EXPECT_EQ(stats.commands_executed, 3);
+  EXPECT_EQ(router.registered_datasets(), 2);
+  StatsValues stats = router.Stats();
+  EXPECT_EQ(stats[kStatRegistries], 2);
+  EXPECT_EQ(stats[kStatClients], 3);
+  EXPECT_EQ(stats[kStatCommands], 3);
 }
 
 TEST(RegistryRouterTest, LoadsLazilyOncePerResidence) {
@@ -210,7 +210,7 @@ TEST(RegistryRouterTest, LoadsLazilyOncePerResidence) {
 
   EXPECT_EQ(*catalog.loads[0], 0) << "registration must not load";
   EXPECT_EQ(*catalog.loads[1], 0);
-  EXPECT_EQ(router.Stats().resident_registries, 0);
+  EXPECT_EQ(router.Stats()[kStatRegistries], 0);
 
   ASSERT_TRUE(router.Open("a", "d0").ok());
   EXPECT_EQ(*catalog.loads[0], 1);
@@ -218,8 +218,8 @@ TEST(RegistryRouterTest, LoadsLazilyOncePerResidence) {
   EXPECT_EQ(*catalog.loads[0], 1) << "a resident dataset must not reload";
   EXPECT_EQ(*catalog.loads[1], 0) << "d1 was never opened";
   EXPECT_EQ(*catalog.loads[2], 0);
-  EXPECT_EQ(router.Stats().resident_registries, 1);
-  EXPECT_EQ(router.Stats().datasets_loaded, 1);
+  EXPECT_EQ(router.Stats()[kStatRegistries], 1);
+  EXPECT_EQ(router.Stats()[kStatLoaded], 1);
 }
 
 TEST(RegistryRouterTest, LruEvictsIdleRegistryAndSparesBusyOnes) {
@@ -241,7 +241,7 @@ TEST(RegistryRouterTest, LruEvictsIdleRegistryAndSparesBusyOnes) {
   EXPECT_EQ(router.Open("c", "d2").code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(*catalog.loads[2], 1)
       << "the load happened before the budget check could see it fail";
-  EXPECT_EQ(router.Stats().resident_registries, 2);
+  EXPECT_EQ(router.Stats()[kStatRegistries], 2);
 
   // Freeing d1 (LRU once 'a' is touched again) makes room: d1 is evicted,
   // d0 — busy with an open client — is untouched.
@@ -250,9 +250,9 @@ TEST(RegistryRouterTest, LruEvictsIdleRegistryAndSparesBusyOnes) {
   SubmitAndWait(&router, "a", Cmd(SessionCommand::Kind::kSolve), &touch);
   ASSERT_TRUE(touch.outcome.ok());
   ASSERT_TRUE(router.Open("c", "d2").ok());
-  RegistryRouterStats stats = router.Stats();
-  EXPECT_EQ(stats.resident_registries, 2);
-  EXPECT_EQ(stats.registries_evicted, 1);
+  StatsValues stats = router.Stats();
+  EXPECT_EQ(stats[kStatRegistries], 2);
+  EXPECT_EQ(stats[kStatEvictedRegistries], 1);
 
   // The survivor's client kept its full session state.
   Slot after;
@@ -267,7 +267,7 @@ TEST(RegistryRouterTest, LruEvictsIdleRegistryAndSparesBusyOnes) {
   ASSERT_TRUE(router.Open("back", "d1").ok());
   EXPECT_EQ(*catalog.loads[1], 2)
       << "an evicted dataset must lazy-load again on its next open";
-  EXPECT_EQ(router.Stats().commands_executed, 4)
+  EXPECT_EQ(router.Stats()[kStatCommands], 4)
       << "eviction must not erase executed-command totals";
 }
 
@@ -287,9 +287,9 @@ TEST(RegistryRouterTest, IdleSessionLruEvictionFreesTheOldestIdleClient) {
 
   ASSERT_TRUE(router.Open("c", "d0").ok())
       << "opening at the budget must evict an idle session, not fail";
-  RegistryRouterStats stats = router.Stats();
-  EXPECT_EQ(stats.open_clients, 2);
-  EXPECT_EQ(stats.sessions_evicted, 1);
+  StatsValues stats = router.Stats();
+  EXPECT_EQ(stats[kStatClients], 2);
+  EXPECT_EQ(stats[kStatEvictedSessions], 1);
 
   // The evicted client is gone; the survivors keep working.
   EXPECT_EQ(router
@@ -336,15 +336,15 @@ TEST(RegistryRouterTest, SharedPoolProvesIdenticalOptimaAndSeedsSiblings) {
         errors[shared].push_back(slot.outcome->result.error);
       }
     }
-    RegistryRouterStats stats = router.Stats();
+    StatsValues stats = router.Stats();
     if (shared == 1) {
-      EXPECT_GT(stats.shared_publishes, 0)
+      EXPECT_GT(stats[kStatSharedPublished], 0)
           << "proven winners must flow into the registry pool";
-      EXPECT_GT(stats.shared_draws, 0)
+      EXPECT_GT(stats[kStatSharedDrawn], 0)
           << "bob never drew alice's published winners";
     } else {
-      EXPECT_EQ(stats.shared_publishes, 0);
-      EXPECT_EQ(stats.shared_draws, 0);
+      EXPECT_EQ(stats[kStatSharedPublished], 0);
+      EXPECT_EQ(stats[kStatSharedDrawn], 0);
     }
   }
   ASSERT_EQ(errors[0].size(), errors[1].size());

@@ -247,11 +247,11 @@ TEST(SessionServerTest, ResidentCopiesStayAtOneUntilAForkAndSiblingsHold) {
   for (size_t i = 0; i < names.size(); ++i) submit_solve(names[i], &first[i]);
   registry.Drain();
 
-  SessionRegistryStats stats = registry.Stats();
-  EXPECT_EQ(stats.open_clients, 4);
-  EXPECT_EQ(stats.resident_dataset_copies, 1)
+  StatsValues stats = registry.Stats();
+  EXPECT_EQ(stats[kStatClients], 4);
+  EXPECT_EQ(stats[kStatDatasets], 1)
       << "4 concurrent sessions over one dataset must hold ONE snapshot";
-  EXPECT_EQ(stats.dataset_forks, 0);
+  EXPECT_EQ(stats[kStatForks], 0);
   for (size_t i = 0; i < names.size(); ++i) {
     ASSERT_TRUE(first[i].outcome.ok());
     EXPECT_TRUE(first[i].outcome->result.proven_optimal);
@@ -271,9 +271,9 @@ TEST(SessionServerTest, ResidentCopiesStayAtOneUntilAForkAndSiblingsHold) {
                   .ok());
   registry.Drain();
   stats = registry.Stats();
-  EXPECT_EQ(stats.resident_dataset_copies, 2)
+  EXPECT_EQ(stats[kStatDatasets], 2)
       << "the structural edit must fork exactly one private copy";
-  EXPECT_EQ(stats.dataset_forks, 1);
+  EXPECT_EQ(stats[kStatForks], 1);
   ASSERT_TRUE(forked.outcome.ok());
 
   // Siblings re-solve on the untouched snapshot: bit-identical to before.
@@ -290,8 +290,8 @@ TEST(SessionServerTest, ResidentCopiesStayAtOneUntilAForkAndSiblingsHold) {
 
   // Closing dave drops the forked copy; the fork counter stays cumulative.
   ASSERT_TRUE(registry.Close("dave").ok());
-  EXPECT_EQ(registry.Stats().resident_dataset_copies, 1);
-  EXPECT_EQ(registry.Stats().dataset_forks, 1)
+  EXPECT_EQ(registry.Stats()[kStatDatasets], 1);
+  EXPECT_EQ(registry.Stats()[kStatForks], 1)
       << "closing the forking client must not erase its fork from stats";
 }
 
@@ -460,7 +460,7 @@ TEST(SessionServerTest, RegistryValidatesClientLifecycles) {
             StatusCode::kNotFound);
   EXPECT_EQ(registry.Close("ghost").code(), StatusCode::kNotFound);
   ASSERT_TRUE(registry.Close("a").ok());
-  EXPECT_EQ(registry.Stats().open_clients, 1);
+  EXPECT_EQ(registry.Stats()[kStatClients], 1);
   ASSERT_TRUE(registry.Open("c").ok()) << "closing freed a slot";
 }
 

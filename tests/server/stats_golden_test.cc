@@ -129,17 +129,17 @@ TEST(StatsGoldenTest, RegistryCountersAreStable) {
   ASSERT_TRUE(registry.Close("alice", /*graceful=*/true).ok());
   registry.Drain();
 
-  const SessionRegistryStats r = registry.Stats();
-  EXPECT_EQ(r.open_clients, 1);
-  EXPECT_EQ(r.resident_dataset_copies, 1);
-  EXPECT_EQ(r.commands_executed, 6);
-  EXPECT_EQ(r.dataset_forks, 1);
-  EXPECT_EQ(r.shared_publishes, 5);
-  EXPECT_EQ(r.shared_draws, 2);
-  EXPECT_EQ(r.pending_commands, 0);
-  EXPECT_EQ(r.commands_shed, 0);
-  EXPECT_EQ(r.closes_graceful, 1);
-  EXPECT_EQ(r.closes_aborted, 0);
+  const StatsValues r = registry.Stats();
+  EXPECT_EQ(r[kStatClients], 1);
+  EXPECT_EQ(r[kStatDatasets], 1);
+  EXPECT_EQ(r[kStatCommands], 6);
+  EXPECT_EQ(r[kStatForks], 1);
+  EXPECT_EQ(r[kStatSharedPublished], 5);
+  EXPECT_EQ(r[kStatSharedDrawn], 2);
+  EXPECT_EQ(r[kStatPending], 0);
+  EXPECT_EQ(r[kStatShed], 0);
+  EXPECT_EQ(r[kStatClosedGraceful], 1);
+  EXPECT_EQ(r[kStatClosedAborted], 0);
   const WarmCacheStats c = (*cache)->Stats();
   EXPECT_EQ(c.hits, 1);
   EXPECT_EQ(c.misses, 4);
@@ -230,13 +230,14 @@ TEST(StatsGoldenTest, ServerMetricsLinesAreByteStable) {
             "eof_closes=4 writes_queued_peak=8192 writes_retried=7 "
             "protocol_errors=6 "
             "open.count=1 open.mean_us=120 open.p50_us=64 open.p99_us=64 "
-            "open.max_us=120 "
+            "open.max_us=120 open.sum_us=120 open.buckets=6:1 "
             "stats.count=1 stats.mean_us=35 stats.p50_us=32 stats.p99_us=32 "
-            "stats.max_us=35 "
+            "stats.max_us=35 stats.sum_us=35 stats.buckets=5:1 "
             "edit.count=1 edit.mean_us=900 edit.p50_us=512 edit.p99_us=512 "
-            "edit.max_us=900 "
+            "edit.max_us=900 edit.sum_us=900 edit.buckets=9:1 "
             "solve.count=3 solve.mean_us=84833 solve.p50_us=2048 "
-            "solve.p99_us=2048 solve.max_us=250000");
+            "solve.p99_us=2048 solve.max_us=250000 solve.sum_us=254500 "
+            "solve.buckets=10:1,11:1,17:1");
 }
 
 }  // namespace

@@ -562,13 +562,14 @@ int main(int argc, char** argv) {
           exit_code = 1;
         }
       }
-      SessionRegistryStats stats = registry.Stats();
+      const StatsValues stats = registry.Stats();
       std::cout << StrFormat(
-          "server: %d clients, %d resident dataset copies, %lld commands, "
-          "%lld COW forks\n",
-          stats.open_clients, stats.resident_dataset_copies,
-          static_cast<long long>(stats.commands_executed),
-          static_cast<long long>(stats.dataset_forks));
+          "server: %lld clients, %lld resident dataset copies, %lld "
+          "commands, %lld COW forks\n",
+          static_cast<long long>(stats[kStatClients]),
+          static_cast<long long>(stats[kStatDatasets]),
+          static_cast<long long>(stats[kStatCommands]),
+          static_cast<long long>(stats[kStatForks]));
       return exit_code;
     }
     // The stdio stream serves a one-entry catalog named like a --listen
