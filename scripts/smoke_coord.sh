@@ -7,8 +7,10 @@
 # through the same binary, the aggregated `stats` line must carry the
 # coord_* fields with a per-worker breakdown, and the fleet `metrics` line
 # must merge the workers' latency histograms (its solve.count is the sum
-# of theirs, and it carries the raw bucket field). check.sh runs this
-# right after smoke_listen; it needs only bash + coreutils.
+# of theirs, and it carries the raw bucket field). Before the clients run,
+# eight idle connections must leave the coordinator's thread count (from
+# /proc) unchanged. check.sh runs this right after smoke_listen; it needs
+# only bash + coreutils.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
@@ -87,7 +89,8 @@ fi
     --workers=127.0.0.1:$P1,127.0.0.1:$P2 \
     --shard-map=alpha=127.0.0.1:$P1,beta=127.0.0.1:$P2 \
     2> "$WORK/coord.err" &
-PIDS+=($!)
+COORD_PID=$!
+PIDS+=($COORD_PID)
 PORT=$(wait_port "$WORK/coord.err" rankhow_coord)
 if [[ -z "$PORT" ]]; then
   echo "smoke_coord: coordinator never announced a port" >&2
@@ -100,6 +103,30 @@ fi
 if ! (exec 3<>"/dev/tcp/127.0.0.1/$PORT") 2>/dev/null; then
   echo "smoke_coord: SKIP - bash lacks /dev/tcp support on this host" >&2
   exit 0
+fi
+
+fail() { echo "smoke_coord: FAILED - $1" >&2; exit 1; }
+
+# The coordinator serves its clients on a reactor with a fixed thread
+# set: eight idle connections, each proven live by a `deadline 0` round
+# trip, must not add a thread.
+if [[ -r "/proc/$COORD_PID/status" ]]; then
+  threads() { sed -n 's/^Threads:[[:space:]]*//p' "/proc/$COORD_PID/status"; }
+  T0=$(threads)
+  IDLE=()
+  for _ in $(seq 1 8); do
+    exec {fd}<>"/dev/tcp/127.0.0.1/$PORT"
+    IDLE+=("$fd")
+    printf 'deadline 0\n' >&"$fd"
+    reply=""
+    read -r -t 10 reply <&"$fd" || true
+    [[ "$reply" == "ok deadline 0" ]] || fail "idle connection answered '$reply'"
+  done
+  T1=$(threads)
+  for fd in "${IDLE[@]}"; do exec {fd}>&-; done
+  [[ -n "$T0" && -n "$T1" && "$T1" -le "$T0" ]] \
+      || fail "coordinator threads grew from $T0 to $T1 with 8 idle connections"
+  echo "--- coordinator threads: $T0 idle, $T1 with 8 idle connections ---"
 fi
 
 run_client() {  # $1 = client name, $2 = dataset id
@@ -119,7 +146,6 @@ echo "--- client c2 (beta, via coordinator) ---"; echo "$OUT2"
 # commands ack from solver strands — the same interleaving a direct worker
 # produces (acks carry line= tags for this reason). Assert by content, not
 # by position.
-fail() { echo "smoke_coord: FAILED - $1" >&2; exit 1; }
 grep -q "^ok open c1 alpha$" <<<"$OUT1" || fail "c1 open ack"
 grep -Eq "^ok c1 line=2 error=[0-9]+ bound=[0-9]+ proven=yes" <<<"$OUT1" \
     || fail "c1 solve response"

@@ -10,12 +10,15 @@
 /// fails sessions over by replaying their acked edit scripts onto a
 /// replacement worker.
 ///
-/// Architecture (DESIGN.md "Shard coordinator"): one accept thread, one
-/// session thread per downstream connection (a coordinator fronts tens of
-/// analysts, not the reactor's ten thousand idle sockets), one detached
-/// reader thread per upstream connection (coord/upstream.h), and the
-/// supervisor's probe thread (coord/health.h). All are tracked by a
-/// ThreadGate so Stop() waits for quiescence.
+/// Architecture (DESIGN.md "Shard coordinator"): client connections run
+/// on the same epoll reactor as the workers (net/reactor.h) with one
+/// event loop, so the thread set is fixed however many clients connect:
+/// the accept thread, the loop, the ops thread (the blocking verbs `open`,
+/// `stats`, `metrics` and `quit`, deferred with the connection's input
+/// paused) and the supervisor's probe thread (coord/health.h). Each
+/// upstream worker connection keeps one detached reader thread
+/// (coord/upstream.h), tracked by a ThreadGate so Stop() waits for
+/// quiescence.
 ///
 /// Transparency contract, in brief:
 ///   * parse errors, unknown-client, duplicate-open, `deadline`, and
@@ -33,21 +36,22 @@
 ///     breakdown;
 ///   * worker death: each affected session's acked edits (captured
 ///     coordinator-side, mirroring the journal's acked ⊆ journaled
-///     invariant) replay onto a replacement; a subsequent `open` of that
-///     client answers `ok open C DATASET recovered`, the same adoption
-///     suffix a journal-recovered worker uses.
+///     invariant) replay onto a replacement, followed by its unacked
+///     requests and the commands that arrived meanwhile (parked on the
+///     session, never polled); a subsequent `open` of that client answers
+///     `ok open C DATASET recovered`, the same adoption suffix a
+///     journal-recovered worker uses;
+///   * a client that stops reading is abort-closed by the reactor's
+///     backpressure, exactly like a worker's.
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "coord/health.h"
 #include "coord/shard_map.h"
 #include "coord/upstream.h"
-#include "net/socket_server.h"
+#include "net/reactor.h"
 #include "util/status.h"
 
 namespace rankhow {
@@ -59,10 +63,8 @@ struct CoordOptions {
 /// Monotonic counters, exposed on the aggregated `stats` line as
 /// `coord_*` fields and to tests via CoordServer::counters().
 struct CoordCounters {
-  long long connections = 0;        ///< downstream connections accepted
   long long sessions_opened = 0;    ///< opens routed to a worker
   long long commands_proxied = 0;   ///< command lines forwarded
-  long long local_errors = 0;       ///< requests answered err locally
   long long failovers = 0;          ///< worker deaths with live sessions
   long long failover_sessions = 0;  ///< sessions moved to a replacement
   long long failover_failures = 0;  ///< sessions dropped (no replacement)
@@ -78,14 +80,14 @@ class CoordServer {
   CoordServer(const CoordServer&) = delete;
   CoordServer& operator=(const CoordServer&) = delete;
 
-  /// Binds `listen`, starts the supervisor and the accept thread.
+  /// Binds `listen`, starts the reactor and the supervisor.
   Status Start(const ListenAddress& listen);
   /// Stops accepting, aborts live downstreams (workers abort-close their
   /// clients, exactly as if those connections died), waits for threads.
   void Stop();
 
-  const ListenAddress& bound() const { return bound_; }
-  std::string bound_spec() const { return ListenSpecString(bound_); }
+  const ListenAddress& bound() const { return reactor_->bound(); }
+  std::string bound_spec() const { return reactor_->bound_spec(); }
 
   ShardMap& shard_map() { return shard_map_; }
   WorkerSupervisor& supervisor() { return *supervisor_; }
@@ -94,27 +96,14 @@ class CoordServer {
  private:
   class Downstream;
 
-  void AcceptLoop();
-  void RemoveDownstream(Downstream* key);
-
   ShardMap shard_map_;
   CoordOptions options_;
   std::unique_ptr<WorkerSupervisor> supervisor_;
-  ThreadGate gate_;
+  ThreadGate gate_;  ///< upstream reader threads
+  std::unique_ptr<ReactorServer> reactor_;
 
-  ListenAddress bound_;
-  std::string unlink_path_;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-
-  std::mutex downstreams_mu_;
-  std::map<Downstream*, std::shared_ptr<Downstream>> downstreams_;
-
-  std::atomic<long long> c_connections_{0};
   std::atomic<long long> c_sessions_opened_{0};
   std::atomic<long long> c_commands_proxied_{0};
-  std::atomic<long long> c_local_errors_{0};
   std::atomic<long long> c_failovers_{0};
   std::atomic<long long> c_failover_sessions_{0};
   std::atomic<long long> c_failover_failures_{0};

@@ -48,7 +48,7 @@ struct ReactorServer::Loop {
   std::thread thread;
 
   std::mutex ops_mu;
-  std::deque<std::function<void()>> ops;
+  std::vector<std::function<void()>> ops;  ///< FIFO, run a batch at a time
 
   // -------- loop-thread-only --------
   std::unordered_map<int, ConnPtr> conns;  // fd -> connection
@@ -66,6 +66,16 @@ struct ReactorServer::Loop {
 // ---------------------------------------------------------------------------
 
 bool ReactorConn::Send(const std::string& payload) {
+  return Queue(payload, nullptr);
+}
+
+void ReactorConn::SwitchMode(FrameMode mode, const std::string& ack) {
+  decoder_.set_mode(mode);
+  (void)Queue(ack, &mode);
+}
+
+bool ReactorConn::Queue(const std::string& payload,
+                        const FrameMode* switch_to) {
   ServerMetrics* metrics = server_->options_.metrics;
   bool kick = false;
   bool trip = false;
@@ -73,6 +83,7 @@ bool ReactorConn::Send(const std::string& payload) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_ || drain_requested_) return false;
     EncodeFrame(send_mode_, payload, &outbox_);
+    if (switch_to != nullptr) send_mode_ = *switch_to;
     const size_t queued = outbox_.size() - outbox_off_;
     if (metrics != nullptr) {
       ServerMetrics::RaisePeak(metrics->writes_queued_peak,
@@ -120,19 +131,6 @@ bool ReactorConn::Send(const std::string& payload) {
     }
   }
   return true;
-}
-
-void ReactorConn::SwitchMode(FrameMode mode) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    send_mode_ = mode;
-  }
-  decoder_.set_mode(mode);
-}
-
-FrameMode ReactorConn::mode() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return send_mode_;
 }
 
 void ReactorConn::Defer(std::function<void()> fn) {
@@ -634,25 +632,26 @@ void ReactorServer::RunLoop(Loop& loop) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone — only happens at teardown
     }
-    // Cross-thread ops first (new connections, write kicks, resumes,
-    // stop). The wake eventfd is drained where its event shows up below.
-    for (;;) {
-      std::function<void()> fn;
-      {
-        std::lock_guard<std::mutex> lock(loop.ops_mu);
-        if (loop.ops.empty()) break;
-        fn = std::move(loop.ops.front());
-        loop.ops.pop_front();
+    // Consume the wake before running the ops it announced: a post that
+    // lands after this read signals the eventfd again, so the next
+    // epoll_wait returns at once instead of sleeping on a queued op.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.ptr != nullptr) continue;
+      uint64_t drained;
+      while (::read(loop.wake_fd, &drained, sizeof(drained)) > 0) {
       }
-      fn();
     }
+    // Cross-thread ops posted so far (new connections, write kicks,
+    // resumes, stop). Ops posted while these run wait one iteration, so a
+    // thread that keeps sending cannot starve this loop's sockets.
+    std::vector<std::function<void()>> ops;
+    {
+      std::lock_guard<std::mutex> lock(loop.ops_mu);
+      ops.swap(loop.ops);
+    }
+    for (std::function<void()>& fn : ops) fn();
     for (int i = 0; i < n && !loop.stop; ++i) {
-      if (events[i].data.ptr == nullptr) {
-        uint64_t drained;
-        while (::read(loop.wake_fd, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
+      if (events[i].data.ptr == nullptr) continue;  // the wake, read above
       auto* raw = static_cast<ReactorConn*>(events[i].data.ptr);
       if (raw->closed_) continue;  // closed earlier in this batch
       auto it = loop.conns.find(raw->fd_);

@@ -4,7 +4,9 @@
 /// \file reactor.h
 /// The serving transport: an epoll reactor that owns every connection
 /// descriptor and multiplexes thousands of mostly-idle connections over a
-/// small fixed thread set (DESIGN.md "Network transport & routing"). It
+/// small fixed thread set (DESIGN.md "Network transport & routing"). It is
+/// the one server transport: `rankhow_cli --listen` workers and
+/// `rankhow_coord`'s client connections both run on it. It
 /// replaced the thread-per-connection SocketServer: connections here are
 /// long-lived interactive sessions whose expensive work runs on the
 /// registry's strand pool, so parking one OS thread per client bought
@@ -29,7 +31,8 @@
 /// lines or length-prefixed binary frames, per-connection mode) and hands
 /// them to ReactorCallbacks::on_message on the loop thread; everything
 /// about verbs, sessions, and response grammar lives in the handler
-/// (server/wire.h's MakeWireReactorCallbacks).
+/// (server/wire.h's MakeWireReactorCallbacks on a worker, the downstream
+/// proxy in coord/coordinator.cc on the coordinator).
 ///
 /// Handler contract, per connection:
 ///
@@ -108,9 +111,10 @@ struct ReactorOptions {
 
 class ReactorServer;
 
-/// One live connection, as seen by the handler. Created and destroyed by
-/// the reactor; handler code only ever borrows it (valid from on_open
-/// until on_close returns).
+/// One live connection, as seen by the handler. Created by the reactor; a
+/// reference is valid from on_open until on_close returns. A handler whose
+/// threads answer after that keeps it through shared_from_this(): Send()
+/// on a closed connection returns false.
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
   int id() const { return id_; }
@@ -122,12 +126,12 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// late strand completions and must treat that as "peer already gone".
   bool Send(const std::string& payload);
 
-  /// Switches framing for input and all subsequently queued output. Call
-  /// only from on_message (loop thread), after Send()ing the negotiation
-  /// ack in the old mode — queue order is encode order, so the ack stays
-  /// readable and everything after it is framed in the new mode.
-  void SwitchMode(FrameMode mode);
-  FrameMode mode() const;
+  /// Answers a framing negotiation: queues `ack` in the current framing
+  /// and switches input and all later output to `mode`, under the lock
+  /// Send() takes, so a message another thread sends is queued either
+  /// before the ack, in the old framing, or after it, in the new one. Call
+  /// only from on_message (loop thread).
+  void SwitchMode(FrameMode mode, const std::string& ack);
 
   /// Defers blocking work from on_message: pauses this connection's input
   /// (EPOLLIN disarmed, buffered messages held), runs `fn` on the ops
@@ -143,6 +147,10 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  private:
   friend class ReactorServer;
   ReactorConn() = default;
+
+  /// Send() and SwitchMode(): encodes `payload` in the current framing,
+  /// then switches output to *switch_to when it is non-null.
+  bool Queue(const std::string& payload, const FrameMode* switch_to);
 
   // -------- immutable after accept --------
   ReactorServer* server_ = nullptr;
@@ -160,7 +168,7 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   int64_t drain_deadline_tick_ = 0;
 
   // -------- cross-thread (guarded by mu_) --------
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::string outbox_;          ///< encoded bytes not yet written
   size_t outbox_off_ = 0;       ///< bytes of outbox_ already sent
   FrameMode send_mode_ = FrameMode::kText;

@@ -15,10 +15,14 @@ namespace {
 /// The RETRY-AFTER hint (milliseconds) embedded in shed responses.
 constexpr int kShedRetryAfterMs = 250;
 
-/// Wire verbs; a client may not take one as its name (see wire.cc).
+/// Every head verb ParseWireLine (wire.cc) recognizes: a client named
+/// like one could be opened but never sent a command.
 bool IsReservedClientName(const std::string& name) {
-  return name == "open" || name == "close" || name == "stats" ||
-         name == "quit" || name == "deadline";
+  for (const char* verb :
+       {"open", "close", "stats", "metrics", "quit", "deadline", "frame"}) {
+    if (name == verb) return true;
+  }
+  return false;
 }
 
 Status ClosedStatus() {

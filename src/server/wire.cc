@@ -355,10 +355,10 @@ void WireConnection::HandleMessage(const std::string& payload) {
       }
       // The ack travels in the OLD framing (a text-mode client reads a
       // plain "ok frame binary" line and only then starts length-prefix
-      // parsing); everything queued after switch_mode is framed anew.
-      Emit(FrameAck(request->frame_binary));
-      hooks_.switch_mode(request->frame_binary ? FrameMode::kBinary
-                                               : FrameMode::kText);
+      // parsing); everything queued after it is framed anew.
+      hooks_.switch_mode(
+          request->frame_binary ? FrameMode::kBinary : FrameMode::kText,
+          FrameAck(request->frame_binary));
       RecordVerb(WireVerb::kFrame, start);
       break;
     }
@@ -447,7 +447,9 @@ ReactorCallbacks MakeWireReactorCallbacks(RegistryRouter* router,
     ReactorConn* c = &conn;
     WireConnectionHooks hooks;
     hooks.emit = [c](const std::string& message) { (void)c->Send(message); };
-    hooks.switch_mode = [c](FrameMode mode) { c->SwitchMode(mode); };
+    hooks.switch_mode = [c](FrameMode mode, const std::string& ack) {
+      c->SwitchMode(mode, ack);
+    };
     hooks.defer = [c](std::function<void()> fn) { c->Defer(std::move(fn)); };
     hooks.request_close = [c] { c->Close(); };
     return new WireConnection(router, options, std::move(hooks));

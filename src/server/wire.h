@@ -190,9 +190,11 @@ struct WireConnectionHooks {
   /// any thread (strand completions race the serve path) and must not
   /// block.
   std::function<void(const std::string& message)> emit;
-  /// Switches the transport's framing (input and output). Called on the
-  /// serve path right after the `frame` ack was emitted in the old mode.
-  std::function<void(FrameMode mode)> switch_mode;
+  /// Queues the `frame` ack in the old framing and switches the
+  /// transport's framing (input and output) under one lock, so no
+  /// response another thread emits lands after the ack in the old mode
+  /// (net/reactor.h SwitchMode). Called on the serve path.
+  std::function<void(FrameMode mode, const std::string& ack)> switch_mode;
   /// Runs `fn` off the serve path with this connection's input paused
   /// (net/reactor.h Defer): `open`, `close`, and `quit` may block on
   /// dataset loads and strand drains, which must never stall an event

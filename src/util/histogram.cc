@@ -1,6 +1,7 @@
 #include "util/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <thread>
@@ -85,7 +86,10 @@ double HistogramSnapshot::QuantileUsec(double q) const {
   if (count == 0) return 0.0;
   if (q < 0) q = 0;
   if (q > 1) q = 1;
-  uint64_t rank = static_cast<uint64_t>(q * (count - 1));
+  // Nearest rank: the ceil(q * count)-th smallest sample, 0-based.
+  const double nearest = std::ceil(q * static_cast<double>(count));
+  const uint64_t rank =
+      nearest < 1 ? 0 : static_cast<uint64_t>(nearest) - 1;
   uint64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
     if (buckets[b] == 0) continue;

@@ -40,8 +40,9 @@ struct HistogramSnapshot {
   uint64_t sum_usec = 0;
   uint64_t max_usec = 0;
 
-  /// Estimated q-quantile (q in [0,1]) in microseconds, interpolated
-  /// within the winning log2 bucket. 0 when empty.
+  /// Estimated q-quantile (q in [0,1]) in microseconds: the nearest-rank
+  /// sample (the ceil(q * count)-th smallest), interpolated within its
+  /// log2 bucket. 0 when empty.
   double QuantileUsec(double q) const;
 
   /// Appends the `metrics` block `NAME.count NAME.mean_us NAME.p50_us

@@ -21,7 +21,11 @@
 //    fleet's solve latencies are the bucket-wise merge of the workers'.
 //  * The docs/PROTOCOL.md conformance walk (tests/support) replayed
 //    through the coordinator — byte-identical behavior to a direct
-//    worker, modulo worker-side transport gauges.
+//    worker, modulo worker-side transport gauges — in text and with its
+//    tail in binary frames.
+//  * Commands pipelined at a worker whose reactor just stopped answer in
+//    line order with serial-replay results once failover rebinds their
+//    session (the parking path).
 //
 // SIGKILL-based coordinator failover lives in tests/chaos (chaos label);
 // this suite keeps everything in-process so it can run under tsan.
@@ -849,6 +853,92 @@ TEST(CoordTest, ProtocolConformanceWalkPassesThroughTheCoordinator) {
   conformance::ConformanceOptions options;
   options.exact_transport_gauges = false;
   conformance::RunProtocolVerbWalk(coord.endpoint, options);
+}
+
+TEST(CoordTest, ProtocolConformanceWalkInBinaryFramingPassesThrough) {
+  // The same walk with its tail in binary frames: the coordinator
+  // re-frames the client leg only and relays each worker's text answer
+  // as a frame.
+  WorkerFixture worker(/*seed=*/302);
+  Status started_worker = worker.StartTcp();
+  if (!started_worker.ok()) {
+    GTEST_SKIP() << "loopback TCP unavailable";
+  }
+  CoordFixture coord;
+  Status started = coord.Start(worker.Spec(), "");
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  conformance::ConformanceOptions options;
+  options.exact_transport_gauges = false;
+  options.binary_framing = true;
+  conformance::RunProtocolVerbWalk(coord.endpoint, options);
+}
+
+TEST(CoordTest, CommandsPipelinedAtADeadWorkerAnswerInLineOrder) {
+  // Both workers serve the same datasets, so a session moved from w0 to
+  // w1 must prove what a serial replay of its script proves. Commands
+  // written while the coordinator is still noticing w0's death ride the
+  // unacked tail, park on the session, or go straight to w1 — each must
+  // answer, in line order, with the serial-replay error.
+  WorkerFixture w0(/*seed=*/405);
+  WorkerFixture w1(/*seed=*/405);
+  Status s0 = w0.StartTcp();
+  Status s1 = w1.StartTcp();
+  if (!s0.ok() || !s1.ok()) {
+    GTEST_SKIP() << "loopback TCP unavailable";
+  }
+  CoordFixture coord;
+  Status started = coord.Start(w0.Spec() + "," + w1.Spec(), "d0=" + w0.Spec());
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  LineClient client;
+  Status connected = client.Connect(coord.endpoint);
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  ASSERT_TRUE(client.SendLine("open c d0"));
+  auto opened = client.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open c d0");
+  ASSERT_TRUE(client.SendLine("c min-weight A0 0.05"));
+  auto acked = client.ReadLine();
+  ASSERT_TRUE(acked.has_value());
+  EXPECT_EQ(acked->rfind("ok c line=2 ", 0), 0u) << *acked;
+
+  w0.server->Stop();
+  const std::vector<std::string> tail = {"solve", "max-weight A1 0.6",
+                                         "solve"};
+  ASSERT_TRUE(client.Send("c " + tail[0] + "\nc " + tail[1] + "\nc " +
+                          tail[2] + "\n"));
+
+  SolveSession replay(Dataset(w0.datasets[0]), Ranking(w0.rankings[0]),
+                      SpatialOptions());
+  auto parsed = ParseSessionScript("min-weight A0 0.05\n" + tail[0] + "\n" +
+                                   tail[1] + "\n" + tail[2]);
+  ASSERT_TRUE(parsed.ok());
+  const std::vector<std::string> labels =
+      TupleLabels(w0.datasets[0].num_tuples());
+  for (size_t s = 0; s < parsed->size(); ++s) {
+    auto want = ExecuteSessionCommand(&replay, (*parsed)[s], labels);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    if (s == 0) continue;  // acked before the stop
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.has_value()) << "step " << s << ": no answer";
+    const std::string expect_prefix =
+        "ok c line=" + std::to_string(s + 2) +
+        " error=" + std::to_string(want->result.error) + " bound=";
+    EXPECT_EQ(line->rfind(expect_prefix, 0), 0u)
+        << "step " << s << ": got '" << *line << "', want prefix '"
+        << expect_prefix << "'";
+  }
+
+  EXPECT_EQ(coord.coord->counters().failover_sessions, 1);
+  ASSERT_TRUE(client.SendLine("open c d0"));
+  auto adopted = client.ReadLine();
+  ASSERT_TRUE(adopted.has_value());
+  EXPECT_EQ(*adopted, "ok open c d0 recovered");
+  ASSERT_TRUE(client.SendLine("quit"));
+  auto quit = client.ReadLine();
+  ASSERT_TRUE(quit.has_value());
+  EXPECT_EQ(*quit, "ok quit");
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 //    must equal a serial single-session replay of the same script.
 //  * A Unix-domain round-trip of the complete documented verb set — every
 //    verb in docs/PROTOCOL.md (including metrics, deadline, and frame)
-//    answers the documented ok/err shape over a real socket.
+//    answers the documented ok/err shape over a real socket; the same
+//    walk again over TCP, finishing in binary frames.
 //  * Binary-framing equivalence: the same script over a `frame binary`
 //    connection produces results byte-identical to serial replay (framing
 //    changes the envelope, never the grammar).
+//  * The framing switch under a racing sender: another thread Sends
+//    while the loop acks `frame binary`, and nothing after the ack may
+//    arrive as text.
 //  * Wire + frame fuzz over real sockets: truncated text lines, truncated
 //    binary length prefixes, text bytes on a binary connection (the
 //    mode-switch-mid-stream corruption), and connections dropped mid-solve
@@ -24,12 +28,15 @@
 //
 // Tests skip cleanly (GTEST_SKIP) where the socket family is unavailable.
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -491,6 +498,103 @@ TEST(ReactorServerTest, BinaryFramingMatchesSerialReplay) {
   auto quit = client.ReadFrame();
   ASSERT_TRUE(quit.has_value());
   EXPECT_EQ(*quit, "ok quit");
+  fixture.server->Stop();
+}
+
+TEST(ReactorServerTest, SendsRacingAFrameSwitchNeverFollowTheAckAsText) {
+  // A response from another thread (a strand completion, a coordinator's
+  // upstream reader) racing the `frame binary` ack: everything queued
+  // after the ack must be a binary frame, or the client desynchronizes.
+  // The sender's last message follows the switch, so each trial ends in a
+  // frame the client must decode.
+  struct Race {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::shared_ptr<ReactorConn> conn;
+    std::atomic<bool> switched{false};
+  } race;
+  ReactorCallbacks callbacks;
+  callbacks.on_open = [&race](ReactorConn& conn) -> void* {
+    std::lock_guard<std::mutex> lock(race.mu);
+    race.conn = conn.shared_from_this();
+    race.cv.notify_all();
+    return nullptr;
+  };
+  callbacks.on_message = [&race](ReactorConn& conn,
+                                 const std::string& payload) {
+    if (payload != "frame binary") return;
+    conn.SwitchMode(FrameMode::kBinary, "ok frame binary");
+    race.switched.store(true);
+  };
+  callbacks.on_close = [](ReactorConn&, CloseReason) {};
+  ReactorOptions options;
+  options.num_loops = 1;
+  ReactorServer server(std::move(callbacks), options);
+  ListenAddress address;
+  address.kind = ListenAddress::Kind::kTcp;
+  address.host = "127.0.0.1";
+  address.port = 0;
+  Status started = server.Start(address);
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback TCP unavailable: " << started.ToString();
+  }
+
+  constexpr int kTrials = 200;
+  int desynced = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    WireClient client;
+    ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.bound().port));
+    std::shared_ptr<ReactorConn> conn;
+    {
+      std::unique_lock<std::mutex> lock(race.mu);
+      ASSERT_TRUE(race.cv.wait_for(lock, std::chrono::seconds(30), [&race] {
+        return race.conn != nullptr;
+      }));
+      conn.swap(race.conn);
+    }
+    race.switched.store(false);
+    std::thread sender([&race, conn] {
+      while (!race.switched.load()) (void)conn->Send("tick");
+      (void)conn->Send("last");
+    });
+    // Ask for the switch once ticks flow, so it lands mid-burst.
+    std::optional<std::string> line = client.ReadLine();
+    bool decoded = line.has_value() && client.Send("frame binary\n");
+    while (decoded && *line == "tick") {
+      line = client.ReadLine();
+      decoded = line.has_value();
+    }
+    decoded = decoded && *line == "ok frame binary";
+    while (decoded) {
+      std::optional<std::string> frame = client.ReadFrame();
+      decoded = frame.has_value() && (*frame == "tick" || *frame == "last");
+      if (decoded && *frame == "last") break;
+    }
+    sender.join();
+    if (!decoded) ++desynced;
+  }
+  EXPECT_EQ(desynced, 0) << desynced << " of " << kTrials
+                         << " trials read a text message after the binary "
+                            "ack";
+  server.Stop();
+}
+
+TEST(ReactorServerTest, DocumentedVerbWalkRunsInBinaryFraming) {
+  // The conformance walk again, switching to `frame binary` midway: the
+  // error replies, a solve, close and quit then travel as frames.
+  ServerFixture fixture(/*seed=*/302, /*n=*/8, /*k=*/3);
+  int port = 0;
+  Status started = fixture.StartTcp(&port);
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback TCP unavailable: " << started.ToString();
+  }
+  ListenAddress address;
+  address.kind = ListenAddress::Kind::kTcp;
+  address.host = "127.0.0.1";
+  address.port = port;
+  conformance::ConformanceOptions options;
+  options.binary_framing = true;
+  conformance::RunProtocolVerbWalk(address, options);
   fixture.server->Stop();
 }
 

@@ -450,6 +450,8 @@ TEST(SessionServerTest, RegistryValidatesClientLifecycles) {
 
   EXPECT_EQ(registry.Open("").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(registry.Open("quit").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Open("metrics").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Open("frame").code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(registry.Open("a").ok());
   EXPECT_EQ(registry.Open("a").code(), StatusCode::kAlreadyExists);
   ASSERT_TRUE(registry.Open("b").ok());

@@ -236,7 +236,7 @@ TEST(StatsGoldenTest, ServerMetricsLinesAreByteStable) {
             "edit.count=1 edit.mean_us=900 edit.p50_us=512 edit.p99_us=512 "
             "edit.max_us=900 edit.sum_us=900 edit.buckets=9:1 "
             "solve.count=3 solve.mean_us=84833 solve.p50_us=2048 "
-            "solve.p99_us=2048 solve.max_us=250000 solve.sum_us=254500 "
+            "solve.p99_us=131072 solve.max_us=250000 solve.sum_us=254500 "
             "solve.buckets=10:1,11:1,17:1");
 }
 

@@ -17,10 +17,14 @@ void RunProtocolVerbWalk(const ListenAddress& endpoint,
   Status connected = client.Connect(endpoint, dial);
   ASSERT_TRUE(connected.ok()) << connected.ToString();
 
-  auto roundtrip = [&client](const std::string& request) -> std::string {
-    if (!client.SendLine(request)) return "<send failed>";
-    auto line = client.ReadLine();
-    return line.has_value() ? *line : "<no response>";
+  bool binary = false;
+  auto roundtrip = [&client,
+                    &binary](const std::string& request) -> std::string {
+    if (!(binary ? client.SendFrame(request) : client.SendLine(request))) {
+      return "<send failed>";
+    }
+    auto reply = binary ? client.ReadFrame() : client.ReadLine();
+    return reply.has_value() ? *reply : "<no response>";
   };
 
   // open, both forms (dataset-id routing and default-dataset).
@@ -84,8 +88,15 @@ void RunProtocolVerbWalk(const ListenAddress& endpoint,
         << metrics << " missing " << field;
   }
   // frame: a text->text "switch" round-trips without disturbing the
-  // stream (binary-path equivalence is the transport suites' job).
-  EXPECT_EQ(roundtrip("frame text"), "ok frame text");
+  // stream; a switch to binary acks as the last text line, and every
+  // later request and response is a frame.
+  if (options.binary_framing) {
+    EXPECT_EQ(roundtrip("frame binary"), "ok frame binary");
+    binary = true;
+    EXPECT_EQ(roundtrip("bob solve").rfind("ok bob line=18 error=", 0), 0u);
+  } else {
+    EXPECT_EQ(roundtrip("frame text"), "ok frame text");
+  }
   // Documented error replies: unknown verb, unknown client, bad dataset,
   // duplicate open.
   EXPECT_EQ(roundtrip("alice frobnicate 1").rfind("err - wire line", 0), 0u);

@@ -29,6 +29,10 @@ struct ConformanceOptions {
   /// Everything protocol-visible — ack texts, line numbers, error
   /// strings — stays exact in both modes.
   bool exact_transport_gauges = true;
+  /// Switch with `frame binary` instead of the `frame text` no-op, then
+  /// run the rest of the walk (a solve, the error replies, close, quit)
+  /// in length-prefixed frames.
+  bool binary_framing = false;
 };
 
 /// Runs the complete documented verb set against `endpoint` over one
