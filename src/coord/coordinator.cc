@@ -1,9 +1,6 @@
 #include "coord/coordinator.h"
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -18,9 +15,9 @@ namespace rankhow {
 
 namespace {
 
-/// Bound on the graceful quit drain (mirrors the reactor's 10 s drain
-/// deadline).
-constexpr int kQuitDrainMs = 30000;
+/// Bound on the graceful quit drain: the reactor closes a connection
+/// whose drain has not finished by then, without `ok quit`.
+constexpr int kQuitDrainSeconds = 30;
 
 }  // namespace
 
@@ -34,9 +31,9 @@ class CoordServer::Downstream
   Downstream(CoordServer* server, std::shared_ptr<ReactorConn> conn)
       : server_(server), conn_(std::move(conn)) {}
 
-  /// Loop thread: one decoded request. `open`, `stats`, `metrics` and
-  /// `quit` block, so they run deferred on the ops thread with this
-  /// connection's input paused; everything else answers or forwards here.
+  /// Loop thread: one decoded request. `open`, `stats` and `metrics`
+  /// block, so they run deferred on the ops thread with this connection's
+  /// input paused; everything else answers or forwards here.
   void HandleLine(const std::string& payload);
   /// Ops thread (on_close): drops every session and shuts the upstream
   /// connections.
@@ -51,10 +48,6 @@ class CoordServer::Downstream
     bool open_acked = false;
     bool recovered_pending = false;  ///< failed over; next open adopts
     std::vector<std::string> acked_edits;  ///< edits that stuck, in order
-    /// Entries that met a dead worker connection, in request order. They
-    /// count as in flight; OnUpstreamBroken sends them after the unacked
-    /// tail or answers them.
-    std::vector<ProxyEntry> parked;
   };
 
   void HandleOpen(const WireRequest& request);
@@ -63,11 +56,13 @@ class CoordServer::Downstream
   void HandleDeadline(int64_t ms);
   void HandleScatter(bool metrics);
   void HandleQuit();
+  /// After `quit`, once every in-flight entry is answered: `ok quit` and
+  /// a graceful close.
+  void FinishQuitIfDrainedLocked();
 
   void OnUpstreamResponse(const ProxyEntry& entry,
                           const std::string& response);
-  void OnUpstreamBroken(int worker, UpstreamConn* conn,
-                        std::vector<ProxyEntry> unacked);
+  void OnUpstreamBroken(int worker, UpstreamConn* conn);
 
   /// Existing healthy connection to `worker`, or a fresh dial. nullptr
   /// with *error set when the dial fails. Called under mu_ (the dial
@@ -82,20 +77,20 @@ class CoordServer::Downstream
   void Emit(const std::string& payload) { (void)conn_->Send(payload); }
 
   CoordServer* server_;
-  /// Held, not borrowed: upstream readers answer after on_close too.
+  /// Held, not borrowed: upstream I/O threads answer after on_close too.
   const std::shared_ptr<ReactorConn> conn_;
   int64_t line_no_ = 0;  ///< loop thread only
 
-  // Proxy state shared with the ops thread and upstream reader threads.
+  // Proxy state shared with the ops thread and upstream I/O threads.
   // Responses are emitted under it, so they leave in state-machine order.
   std::mutex mu_;
-  std::condition_variable drain_cv_;
   std::map<std::string, Session> sessions_;
   std::map<int, std::shared_ptr<UpstreamConn>> upstreams_;
-  int64_t inflight_ = 0;  ///< forwarded or parked entries awaiting answers
+  int64_t inflight_ = 0;  ///< forwarded entries awaiting answers
   int64_t deadline_ms_ = 0;
   bool deadline_set_ = false;
-  bool ended_ = false;  ///< quit or teardown: drop, don't fail over
+  bool quitting_ = false;  ///< `quit` read; draining
+  bool ended_ = false;     ///< quit or teardown: drop, don't fail over
 };
 
 void CoordServer::Downstream::HandleLine(const std::string& payload) {
@@ -110,7 +105,7 @@ void CoordServer::Downstream::HandleLine(const std::string& payload) {
   auto self = shared_from_this();
   switch (request->kind) {
     case WireRequest::Kind::kQuit:
-      conn_->Defer([self] { self->HandleQuit(); });
+      HandleQuit();
       break;
     case WireRequest::Kind::kStats:
       conn_->Defer([self] { self->HandleScatter(/*metrics=*/false); });
@@ -246,26 +241,20 @@ void CoordServer::Downstream::HandleSessionVerb(int64_t line_no,
     entry.payload = payload;
     entry.is_edit = request.command.kind != SessionCommand::Kind::kSolve;
   }
+  const bool is_command = entry.kind == ProxyEntry::Kind::kCommand;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(request.client);
-  if (it == sessions_.end()) {
+  // A live session's worker always has a connection in upstreams_. If it
+  // died, Forward records the entry in its unacked tail, which failover
+  // takes under this mutex and re-sends or answers in request order.
+  auto up = it == sessions_.end() ? upstreams_.end()
+                                  : upstreams_.find(it->second.worker);
+  if (up == upstreams_.end() || !up->second->Forward(std::move(entry))) {
     Emit(NoClientError(request.client));
     return;
   }
-  if (entry.kind == ProxyEntry::Kind::kCommand) {
-    server_->c_commands_proxied_.fetch_add(1);
-  }
   ++inflight_;
-  Session& session = it->second;
-  auto up = upstreams_.find(session.worker);
-  if (session.parked.empty() && up != upstreams_.end() &&
-      up->second->Forward(entry)) {
-    return;
-  }
-  // The worker connection is dead (or earlier entries already wait):
-  // its OnUpstreamBroken, pending under this same mutex, rebinds or drops
-  // the session and settles the entry in request order.
-  session.parked.push_back(std::move(entry));
+  if (is_command) server_->c_commands_proxied_.fetch_add(1);
 }
 
 std::shared_ptr<UpstreamConn>
@@ -279,9 +268,8 @@ CoordServer::Downstream::GetOrCreateUpstreamLocked(int worker,
                                  const std::string& response) {
     self->OnUpstreamResponse(entry, response);
   };
-  callbacks.on_broken = [self, worker](UpstreamConn* conn,
-                                       std::vector<ProxyEntry> unacked) {
-    self->OnUpstreamBroken(worker, conn, std::move(unacked));
+  callbacks.on_broken = [self, worker](UpstreamConn* conn) {
+    self->OnUpstreamBroken(worker, conn);
   };
   Result<std::shared_ptr<UpstreamConn>> dialed = UpstreamConn::Dial(
       server_->shard_map_.workers()[static_cast<size_t>(worker)],
@@ -306,7 +294,6 @@ void CoordServer::Downstream::OnUpstreamResponse(const ProxyEntry& entry,
   const bool edit_stuck = entry.is_edit && WireResponseEditApplied(response);
   std::lock_guard<std::mutex> lock(mu_);
   --inflight_;
-  drain_cv_.notify_all();
   auto it = sessions_.find(entry.client);
   if (entry.swallow) {
     if (!ok && !edit_stuck && entry.kind != ProxyEntry::Kind::kClose) {
@@ -321,16 +308,13 @@ void CoordServer::Downstream::OnUpstreamResponse(const ProxyEntry& entry,
         it->second.bound_dataset = tokens[3];
       }
     }
-    return;
-  }
-  switch (entry.kind) {
-    case ProxyEntry::Kind::kCommand:
-      if (edit_stuck && it != sessions_.end()) {
-        it->second.acked_edits.push_back(entry.payload);
-      }
-      Emit(RewriteWireResponseLine(response, entry.downstream_line));
-      return;
-    case ProxyEntry::Kind::kOpen:
+  } else if (entry.kind == ProxyEntry::Kind::kCommand) {
+    if (edit_stuck && it != sessions_.end()) {
+      it->second.acked_edits.push_back(entry.payload);
+    }
+    Emit(RewriteWireResponseLine(response, entry.downstream_line));
+  } else {
+    if (entry.kind == ProxyEntry::Kind::kOpen) {
       if (ok && it != sessions_.end()) {
         std::vector<std::string> tokens = Split(response, ' ');
         it->second.bound_dataset = tokens.size() >= 4 ? tokens[3] : "";
@@ -338,22 +322,24 @@ void CoordServer::Downstream::OnUpstreamResponse(const ProxyEntry& entry,
       } else if (!ok) {
         sessions_.erase(entry.client);
       }
-      break;
-    case ProxyEntry::Kind::kClose:
-      if (ok) sessions_.erase(entry.client);
-      break;
-    case ProxyEntry::Kind::kDeadline:
-      break;  // unreachable: deadlines are always swallowed
+    } else if (entry.kind == ProxyEntry::Kind::kClose && ok) {
+      sessions_.erase(entry.client);
+    }
+    Emit(response);  // deadlines are always swallowed
   }
-  Emit(response);
+  FinishQuitIfDrainedLocked();
 }
 
-void CoordServer::Downstream::OnUpstreamBroken(
-    int worker, UpstreamConn* conn, std::vector<ProxyEntry> unacked) {
+void CoordServer::Downstream::OnUpstreamBroken(int worker,
+                                               UpstreamConn* conn) {
   // Probe before locking: confirms the death (marks the worker down so
   // routing skips it) without stalling response forwarding.
   server_->supervisor_->ReportFailure(worker);
   std::lock_guard<std::mutex> lock(mu_);
+  // Taken under the proxy mutex, so every entry forwarded to this
+  // connection before now is in the tail, and every later one goes to the
+  // session's new connection.
+  std::vector<ProxyEntry> unacked = conn->TakeUnacked();
   auto uit = upstreams_.find(worker);
   if (uit != upstreams_.end() && uit->second.get() == conn) {
     upstreams_.erase(uit);
@@ -395,13 +381,8 @@ void CoordServer::Downstream::OnUpstreamBroken(
   };
   for (const std::string& client : affected) {
     Session& session = sessions_[client];
-    // The unacked tail, then what parked behind it: request order.
     std::vector<ProxyEntry> pending = std::move(pending_by_client[client]);
     pending_by_client.erase(client);
-    pending.insert(pending.end(),
-                   std::make_move_iterator(session.parked.begin()),
-                   std::make_move_iterator(session.parked.end()));
-    session.parked.clear();
 
     std::shared_ptr<UpstreamConn> replacement;
     int replacement_index = -1;
@@ -465,11 +446,9 @@ void CoordServer::Downstream::OnUpstreamBroken(
     }
     session.worker = replacement_index;
     for (ProxyEntry& entry : pending) {
-      // A replacement that died inside this failover parks the rest; its
-      // own OnUpstreamBroken settles them.
-      if (!session.parked.empty() || !replacement->Forward(entry)) {
-        session.parked.push_back(std::move(entry));
-      }
+      // A replacement that dies inside this failover keeps the entries in
+      // its own tail; its on_broken, waiting on this mutex, moves them on.
+      if (!replacement->Forward(entry)) answer_died(entry, why);
     }
     if (session.open_acked) session.recovered_pending = true;
     server_->c_failover_sessions_.fetch_add(1);
@@ -480,7 +459,7 @@ void CoordServer::Downstream::OnUpstreamBroken(
   for (auto& [client, pending] : pending_by_client) {
     for (const ProxyEntry& entry : pending) answer_died(entry, "");
   }
-  drain_cv_.notify_all();
+  FinishQuitIfDrainedLocked();
 }
 
 void CoordServer::Downstream::HandleScatter(bool metrics) {
@@ -524,11 +503,14 @@ void CoordServer::Downstream::HandleScatter(bool metrics) {
 }
 
 void CoordServer::Downstream::HandleQuit() {
-  std::unique_lock<std::mutex> lock(mu_);
   // Graceful drain: ask each worker to close its clients (their queued
   // commands finish and answer first — the worker's own close semantics)
-  // and hold `ok quit` until every in-flight response came back. Failover
-  // keeps running meanwhile, so parked commands still get their answers.
+  // and hold `ok quit` until every in-flight response came back; the
+  // callback that settles the last one sends it. Input ends here, so a
+  // client that half-closes after `quit` still gets every response.
+  // Failover keeps running meanwhile.
+  conn_->EndInput(kQuitDrainSeconds);
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [client, session] : sessions_) {
     auto up = upstreams_.find(session.worker);
     if (up == upstreams_.end()) continue;
@@ -539,8 +521,12 @@ void CoordServer::Downstream::HandleQuit() {
     entry.swallow = true;
     if (up->second->Forward(std::move(entry))) ++inflight_;
   }
-  drain_cv_.wait_for(lock, std::chrono::milliseconds(kQuitDrainMs),
-                     [this] { return inflight_ == 0; });
+  quitting_ = true;
+  FinishQuitIfDrainedLocked();
+}
+
+void CoordServer::Downstream::FinishQuitIfDrainedLocked() {
+  if (!quitting_ || ended_ || inflight_ > 0) return;
   ended_ = true;
   sessions_.clear();
   Emit("ok quit");
@@ -555,7 +541,7 @@ CoordServer::CoordServer(ShardMap shard_map, CoordOptions options)
     : shard_map_(std::move(shard_map)), options_(options) {
   supervisor_ = std::make_unique<WorkerSupervisor>(shard_map_.workers(),
                                                    options_.health);
-  // The user state is a heap shared_ptr: upstream readers keep the
+  // The user state is a heap shared_ptr: upstream I/O threads keep the
   // Downstream alive past on_close, which only drops this reference.
   using Handle = std::shared_ptr<Downstream>;
   ReactorCallbacks callbacks;
@@ -595,7 +581,7 @@ Status CoordServer::Start(const ListenAddress& listen) {
 
 void CoordServer::Stop() {
   // Every downstream's on_close shuts its upstream connections, whose
-  // reader threads then exit.
+  // I/O threads then exit.
   reactor_->Stop();
   if (!gate_.WaitIdle(15000)) {
     std::fprintf(stderr,

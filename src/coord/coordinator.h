@@ -14,11 +14,12 @@
 /// on the same epoll reactor as the workers (net/reactor.h) with one
 /// event loop, so the thread set is fixed however many clients connect:
 /// the accept thread, the loop, the ops thread (the blocking verbs `open`,
-/// `stats`, `metrics` and `quit`, deferred with the connection's input
-/// paused) and the supervisor's probe thread (coord/health.h). Each
-/// upstream worker connection keeps one detached reader thread
-/// (coord/upstream.h), tracked by a ThreadGate so Stop() waits for
-/// quiescence.
+/// `stats` and `metrics`, deferred with the connection's input paused)
+/// and the supervisor's probe thread (coord/health.h). Each upstream
+/// worker connection keeps one detached I/O thread (coord/upstream.h),
+/// tracked by a ThreadGate so Stop() waits for quiescence; forwarding
+/// never blocks the loop, because an upstream's writes that its socket
+/// does not take wait in that connection's outbox.
 ///
 /// Transparency contract, in brief:
 ///   * parse errors, unknown-client, duplicate-open, `deadline`, and
@@ -37,8 +38,9 @@
 ///   * worker death: each affected session's acked edits (captured
 ///     coordinator-side, mirroring the journal's acked ⊆ journaled
 ///     invariant) replay onto a replacement, followed by its unacked
-///     requests and the commands that arrived meanwhile (parked on the
-///     session, never polled); a subsequent `open` of that client answers
+///     requests, which include the commands forwarded to the dead
+///     connection before failover took its tail (recorded there unsent,
+///     never polled); a subsequent `open` of that client answers
 ///     `ok open C DATASET recovered`, the same adoption suffix a
 ///     journal-recovered worker uses;
 ///   * a client that stops reading is abort-closed by the reactor's
@@ -99,7 +101,7 @@ class CoordServer {
   ShardMap shard_map_;
   CoordOptions options_;
   std::unique_ptr<WorkerSupervisor> supervisor_;
-  ThreadGate gate_;  ///< upstream reader threads
+  ThreadGate gate_;  ///< upstream I/O threads
   std::unique_ptr<ReactorServer> reactor_;
 
   std::atomic<long long> c_sessions_opened_{0};

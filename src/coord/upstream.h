@@ -6,6 +6,14 @@
 /// lines verbatim, track every in-flight request, and hand the unacked
 /// tail to the failover machinery when the worker dies.
 ///
+/// Forward never blocks. It writes to the socket with MSG_DONTWAIT and
+/// leaves what the socket does not take in an outbox that the
+/// connection's one I/O thread flushes when the socket turns writable.
+/// The coordinator forwards from its event loop, so a worker that stops
+/// reading stalls only its own entries. If the outbox grows past
+/// kMaxOutboxBytes, the worker is treated as dead: the connection breaks
+/// and its sessions fail over.
+///
 /// Response matching leans on two worker invariants (src/server/wire.cc):
 ///
 ///   * command responses carry `line=N` where N is the WORKER-side line
@@ -27,6 +35,7 @@
 /// bookkeeping accuracy, never protocol bytes.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -43,7 +52,7 @@
 namespace rankhow {
 
 /// Tracks detached helper threads so CoordServer::Stop can wait for
-/// quiescence instead of racing reader teardown at shutdown.
+/// quiescence instead of racing I/O-thread teardown at shutdown.
 class ThreadGate {
  public:
   void Enter();
@@ -71,28 +80,34 @@ struct ProxyEntry {
 };
 
 /// A session-traffic connection to one worker. Forward() records the
-/// entry and writes its payload; a detached reader thread matches each
-/// worker response back to its entry and runs on_response (line numbers
-/// already rewritten to downstream numbering). When the connection dies
-/// with requests still unacked, on_broken receives them in send order —
-/// the coordinator replays them onto a replacement worker.
+/// entry and queues its payload; the connection's I/O thread writes the
+/// queue out, matches each worker response back to its entry and runs
+/// on_response (line numbers already rewritten to downstream numbering).
+/// When the connection dies it fires on_broken, and the callee takes the
+/// unacked entries with TakeUnacked() — the coordinator replays them onto
+/// a replacement worker.
 class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
  public:
+  /// Unwritten bytes a worker may leave in the outbox before the
+  /// connection counts as dead (the bound a reactor puts on a client's
+  /// outbox by default).
+  static constexpr size_t kMaxOutboxBytes = 4u << 20;
+
   struct Callbacks {
-    /// One matched response. Runs on the reader thread with no
+    /// One matched response. Runs on the I/O thread with no
     /// UpstreamConn lock held (it may take downstream locks).
     std::function<void(const ProxyEntry&, const std::string& response)>
         on_response;
-    /// Connection death with the unacked entries in send order. Not
-    /// fired after Shutdown(). Runs on the reader thread, no lock held.
+    /// Connection death. Not fired after Shutdown(). Runs on the I/O
+    /// thread, no lock held; it takes the unacked entries with
+    /// TakeUnacked() under the lock that orders it against Forward().
     /// `conn` identifies the dead connection (the coordinator may have
     /// already replaced it in its per-worker table).
-    std::function<void(UpstreamConn* conn, std::vector<ProxyEntry> unacked)>
-        on_broken;
+    std::function<void(UpstreamConn* conn)> on_broken;
   };
 
-  /// Connects and starts the reader. The reader keeps a shared_ptr to
-  /// the connection, so dropping the returned pointer never races it.
+  /// Connects and starts the I/O thread. The thread keeps a shared_ptr
+  /// to the connection, so dropping the returned pointer never races it.
   static Result<std::shared_ptr<UpstreamConn>> Dial(const WorkerSpec& worker,
                                                     int dial_timeout_ms,
                                                     Callbacks callbacks,
@@ -102,15 +117,17 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
   UpstreamConn(const UpstreamConn&) = delete;
   UpstreamConn& operator=(const UpstreamConn&) = delete;
 
-  /// Sends `entry.payload` as the connection's next line. False when the
-  /// connection has already failed — the entry was NOT accepted and the
-  /// caller must re-route it. True means the entry is owned here: it
-  /// either gets a response or rides the on_broken replay (a send that
-  /// breaks the connection mid-call still returns true for exactly this
-  /// reason — no entry may be owned twice).
+  /// Queues `entry.payload` as the connection's next line; never blocks.
+  /// False once TakeUnacked() or Shutdown() ran: the entry was NOT
+  /// accepted. True means the entry is owned here: it either gets a
+  /// response or is in the tail TakeUnacked() returns. A connection that
+  /// failed but whose tail is still untaken records the entry without
+  /// sending it, so no entry is ever owned twice or dropped.
   bool Forward(ProxyEntry entry);
+  /// Marks the connection failed and returns every unanswered entry in
+  /// send order; later Forward() calls return false. For on_broken.
+  std::vector<ProxyEntry> TakeUnacked();
 
-  int64_t Pending() const;
   bool failed() const;
   const std::string& spec() const { return worker_.spec; }
   const WorkerSpec& worker() const { return worker_; }
@@ -120,26 +137,33 @@ class UpstreamConn : public std::enable_shared_from_this<UpstreamConn> {
   void Shutdown();
 
  private:
-  explicit UpstreamConn(WorkerSpec worker) : worker_(std::move(worker)) {}
+  UpstreamConn(WorkerSpec worker, int fd, int wake_fd)
+      : worker_(std::move(worker)), fd_(fd), wake_fd_(wake_fd) {}
 
-  void ReaderLoop();
+  void IoLoop();
+  /// Writes what the socket takes without blocking. Called under mu_.
+  void FlushLocked();
+  /// Stops sending and cuts the socket, so the I/O thread sees EOF and
+  /// fires on_broken. Called under mu_.
+  void BreakLocked();
   /// Pops the entry a response belongs to. False = unmatchable (logged
   /// and dropped). Called under mu_.
   bool MatchLocked(const std::string& response, ProxyEntry* entry);
-  /// Marks the connection failed and returns the unacked tail in send
-  /// order. Empty on second call — on_broken fires at most once.
-  std::vector<ProxyEntry> CollectBroken();
 
   const WorkerSpec worker_;
   Callbacks callbacks_;
   ThreadGate* gate_ = nullptr;
 
   mutable std::mutex mu_;
-  LineClient client_;
+  int fd_ = -1;       ///< non-blocking; closed by the I/O thread
+  int wake_fd_ = -1;  ///< eventfd: the outbox needs POLLOUT
+  std::string outbox_;     ///< queued bytes the socket has not taken
+  size_t outbox_off_ = 0;  ///< bytes of outbox_ already written
   int64_t seq_ = 0;  ///< lines sent == worker-side line numbers
   std::map<int64_t, ProxyEntry> pending_;
   std::deque<int64_t> verb_order_;  ///< outstanding non-command seqs
-  bool failed_ = false;
+  bool failed_ = false;  ///< no more sends
+  bool sealed_ = false;  ///< tail taken or shut down: Forward refuses
   bool shutdown_ = false;
 };
 

@@ -82,13 +82,32 @@ bool ReactorConn::Queue(const std::string& payload,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_ || drain_requested_) return false;
+    const bool idle = outbox_off_ == outbox_.size();
     EncodeFrame(send_mode_, payload, &outbox_);
     if (switch_to != nullptr) send_mode_ = *switch_to;
-    const size_t queued = outbox_.size() - outbox_off_;
     if (metrics != nullptr) {
-      ServerMetrics::RaisePeak(metrics->writes_queued_peak,
-                               static_cast<int64_t>(queued));
+      ServerMetrics::RaisePeak(
+          metrics->writes_queued_peak,
+          static_cast<int64_t>(outbox_.size() - outbox_off_));
     }
+    if (idle) {
+      // Nothing queued ahead: write from this thread, no loop round trip.
+      // The fd is open while closing_ is false under this lock (CloseConn
+      // sets it before close). A remainder or an error goes to the loop.
+      const size_t pending = outbox_.size() - outbox_off_;
+      const ssize_t n = ::send(fd_, outbox_.data() + outbox_off_, pending,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) outbox_off_ += static_cast<size_t>(n);
+      if (n > 0 && static_cast<size_t>(n) < pending && metrics != nullptr) {
+        metrics->writes_retried.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (outbox_off_ == outbox_.size()) {
+        outbox_.clear();
+        outbox_off_ = 0;
+        return true;
+      }
+    }
+    const size_t queued = outbox_.size() - outbox_off_;
     if (queued > server_->options_.max_conn_buffer) {
       // The peer stopped reading. Reject further sends right here (under
       // the same lock that accepted this one) so the queue stops growing,
@@ -155,6 +174,15 @@ void ReactorConn::Defer(std::function<void()> fn) {
       server_->DrainMessages(*loop, self);
     });
   });
+}
+
+void ReactorConn::EndInput(int seconds) {
+  // on_message runs on the owning loop thread, so the loop-thread fields
+  // are ours to touch here. Nothing resumes input after this.
+  ReactorServer::Loop* loop = server_->loops_[loop_index_].get();
+  paused_ = true;
+  drain_deadline_tick_ = loop->now_tick + seconds;
+  server_->UpdateEpoll(*loop, *this);
 }
 
 void ReactorConn::Close() {

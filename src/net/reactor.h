@@ -44,7 +44,8 @@
 ///     on the ops thread, and resumes input afterwards — one deferred op
 ///     per connection at a time, so per-connection ordering holds.
 ///   * Send() is callable from any thread (loop, ops, strand completions)
-///     and never blocks: it encodes into the connection's bounded write
+///     and never blocks: with nothing queued it writes to the socket
+///     directly; otherwise it encodes into the connection's bounded write
 ///     queue and wakes the owning loop. A peer that stops reading fills
 ///     the queue to ReactorOptions::max_conn_buffer and is abort-closed
 ///     (backpressure) — a slow reader costs one connection, never an
@@ -120,10 +121,12 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   int id() const { return id_; }
   void* user() const { return user_; }
 
-  /// Queues one protocol message, encoded per the connection's current
-  /// frame mode, and wakes the owning loop. Any thread; never blocks.
-  /// False (message dropped) once the connection is closing — callers are
-  /// late strand completions and must treat that as "peer already gone".
+  /// Sends one protocol message, encoded per the connection's current
+  /// frame mode. Any thread; never blocks: with nothing queued it writes
+  /// to the socket directly, and what the socket does not take waits in
+  /// the write queue for the owning loop. False (message dropped) once
+  /// the connection is closing — callers are late strand completions and
+  /// must treat that as "peer already gone".
   bool Send(const std::string& payload);
 
   /// Answers a framing negotiation: queues `ack` in the current framing
@@ -138,6 +141,13 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// thread, then resumes input. Only from on_message, at most once per
   /// delivered message.
   void Defer(std::function<void()> fn);
+
+  /// Stops reading for good: input is disarmed, so later messages stay
+  /// unread and a half-closed peer's EOF goes unseen, while Send() keeps
+  /// working. The handler ends the connection with Close(); if it has not
+  /// within `seconds`, the reactor closes it (kLocalClose). Only from
+  /// on_message (loop thread), never with a Defer in flight.
+  void EndInput(int seconds);
 
   /// Requests a graceful local close: pending writes flush (for at most
   /// 10 seconds), then the fd closes and on_close runs with

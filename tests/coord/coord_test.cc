@@ -25,7 +25,13 @@
 //    tail in binary frames.
 //  * Commands pipelined at a worker whose reactor just stopped answer in
 //    line order with serial-replay results once failover rebinds their
-//    session (the parking path).
+//    session.
+//  * Scripted fake workers: an UpstreamConn whose worker died keeps later
+//    forwards in its unacked tail; a worker that stops reading stalls
+//    only its own clients, and past the outbox bound fails over; a
+//    replacement that dies during failover passes the session on; a
+//    worker that dies after acking a close answers the commands behind
+//    it, and `quit` still finds nothing in flight.
 //
 // SIGKILL-based coordinator failover lives in tests/chaos (chaos label);
 // this suite keeps everything in-process so it can run under tsan.
@@ -34,6 +40,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -49,6 +56,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -57,6 +65,7 @@
 #include "coord/coordinator.h"
 #include "coord/health.h"
 #include "coord/shard_map.h"
+#include "coord/upstream.h"
 #include "core/solve_session.h"
 #include "net/dial.h"
 #include "net/reactor.h"
@@ -275,11 +284,26 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::Global().Reset(); }
 };
 
-/// A minimal stand-in worker for health tests: answers every text line
-/// with a plausible `ok stats` line, until stopped. Restartable on the
-/// same port (SO_REUSEADDR), which is how the up-transition is staged.
+/// What a scripted FakeWorker does with one request line.
+struct FakeReply {
+  std::string text;    ///< sent with a newline unless empty
+  bool stall = false;  ///< then stops reading this connection
+  bool die = false;    ///< then closes its listener and every connection
+};
+
+/// A minimal stand-in worker: answers `stats` (what health probes send)
+/// with a plausible `ok stats` line and every other line through an
+/// optional script (default: the same stats line), until stopped. A TCP
+/// one is restartable on the same port (SO_REUSEADDR), which is how the
+/// up-transition is staged. A Unix-socket one has the small fixed socket
+/// buffers of that family, so a peer writing to a connection it stopped
+/// reading backs up within a few hundred KiB.
 class FakeWorker {
  public:
+  using Script = std::function<FakeReply(const std::string& line)>;
+
+  FakeWorker() = default;
+  explicit FakeWorker(Script script) : script_(std::move(script)) {}
   ~FakeWorker() { Stop(); }
 
   bool Start(int port = 0) {
@@ -293,57 +317,85 @@ class FakeWorker {
     sin.sin_family = AF_INET;
     sin.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     sin.sin_port = htons(static_cast<uint16_t>(port));
+    socklen_t len = sizeof(sin);
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sin),
                sizeof(sin)) != 0 ||
-        ::listen(listen_fd_, 16) != 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    socklen_t len = sizeof(sin);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&sin),
+        ::listen(listen_fd_, 16) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&sin),
                       &len) != 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
       return false;
     }
     port_ = ntohs(sin.sin_port);
-    stopping_.store(false);
-    accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
-    return true;
+    spec_ = "127.0.0.1:" + std::to_string(port_);
+    return Run();
+  }
+
+  bool StartUnix(const std::string& path) {
+    sockaddr_un sun;
+    std::memset(&sun, 0, sizeof(sun));
+    sun.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(sun.sun_path)) return false;
+    std::memcpy(sun.sun_path, path.c_str(), path.size() + 1);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (listen_fd_ < 0) return false;
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sun),
+               sizeof(sun)) != 0 ||
+        ::listen(listen_fd_, 16) != 0) {
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      return false;
+    }
+    unix_path_ = path;
+    spec_ = "unix:" + path;
+    return Run();
   }
 
   void Stop() {
-    stopping_.store(true);
+    Die();
+    if (accept_thread_.joinable()) accept_thread_.join();
     if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
-    }
-    if (accept_thread_.joinable()) accept_thread_.join();
     for (std::thread& t : conn_threads_) {
       if (t.joinable()) t.join();
     }
     conn_threads_.clear();
     for (int fd : conns_) ::close(fd);
     conns_.clear();
+    if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
   }
 
   int port() const { return port_; }
+  const std::string& Spec() const { return spec_; }
 
  private:
-  /// Takes the listening fd by value: Stop() resets listen_fd_ while this
-  /// thread may still be parked in accept().
-  void AcceptLoop(int listen_fd) {
+  bool Run() {
+    stopping_ = false;
+    accept_thread_ = std::thread([this] { AcceptLoop(); });
+    return true;
+  }
+
+  /// Refuses new connections and cuts the live ones, as a killed worker
+  /// would; Stop() still joins the threads.
+  void Die() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopping_ = true;
+      if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+      for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
+    }
+    stop_cv_.notify_all();
+  }
+
+  void AcceptLoop() {
     for (;;) {
-      int fd = ::accept(listen_fd, nullptr, nullptr);
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) return;
       std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_.load()) {
+      if (stopping_) {
         ::close(fd);
         return;
       }
@@ -354,25 +406,49 @@ class FakeWorker {
 
   void Serve(int fd) {
     std::string buffer;
-    char chunk[256];
+    char chunk[4096];
     for (;;) {
       ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) return;
       buffer.append(chunk, static_cast<size_t>(n));
       size_t nl;
       while ((nl = buffer.find('\n')) != std::string::npos) {
+        const std::string line = buffer.substr(0, nl);
         buffer.erase(0, nl + 1);
-        const char reply[] = "ok stats fake=1\n";
-        if (::send(fd, reply, sizeof(reply) - 1, MSG_NOSIGNAL) < 0) return;
+        FakeReply reply;
+        if (line == "stats" || !script_) {
+          reply.text = "ok stats fake=1";
+        } else {
+          std::lock_guard<std::mutex> lock(script_mu_);
+          reply = script_(line);
+        }
+        if (!reply.text.empty()) {
+          const std::string out = reply.text + "\n";
+          if (::send(fd, out.data(), out.size(), MSG_NOSIGNAL) < 0) return;
+        }
+        if (reply.die) {
+          Die();
+          return;
+        }
+        if (reply.stall) {
+          std::unique_lock<std::mutex> lock(mu_);
+          stop_cv_.wait(lock, [this] { return stopping_; });
+          return;
+        }
       }
     }
   }
 
+  const Script script_;
+  std::mutex script_mu_;  // scripts may keep state across connections
   int listen_fd_ = -1;
   int port_ = 0;
+  std::string spec_;
+  std::string unix_path_;
   std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
   std::mutex mu_;
+  std::condition_variable stop_cv_;
+  bool stopping_ = false;
   std::vector<int> conns_;
   std::vector<std::thread> conn_threads_;
 };
@@ -878,8 +954,9 @@ TEST(CoordTest, CommandsPipelinedAtADeadWorkerAnswerInLineOrder) {
   // Both workers serve the same datasets, so a session moved from w0 to
   // w1 must prove what a serial replay of its script proves. Commands
   // written while the coordinator is still noticing w0's death ride the
-  // unacked tail, park on the session, or go straight to w1 — each must
-  // answer, in line order, with the serial-replay error.
+  // dead connection's unacked tail (sent, or recorded unsent) or go
+  // straight to w1 — each must answer, in line order, with the
+  // serial-replay error.
   WorkerFixture w0(/*seed=*/405);
   WorkerFixture w1(/*seed=*/405);
   Status s0 = w0.StartTcp();
@@ -938,6 +1015,283 @@ TEST(CoordTest, CommandsPipelinedAtADeadWorkerAnswerInLineOrder) {
   ASSERT_TRUE(client.SendLine("quit"));
   auto quit = client.ReadLine();
   ASSERT_TRUE(quit.has_value());
+  EXPECT_EQ(*quit, "ok quit");
+}
+
+/// A fake worker script that acks `open C D` as a worker would.
+FakeReply AckOpen(const std::string& line) {
+  FakeReply reply;
+  if (line.rfind("open ", 0) == 0) reply.text = "ok " + line;
+  return reply;
+}
+
+TEST(UpstreamConnTest, EntriesForwardedToADeadConnectionRideItsTail) {
+  FakeWorker fake([](const std::string& line) {
+    FakeReply reply = AckOpen(line);
+    reply.die = reply.text.empty();  // dies at its first command
+    return reply;
+  });
+  ASSERT_TRUE(fake.Start());
+  auto address = ParseListenSpec(fake.Spec());
+  ASSERT_TRUE(address.ok());
+  WorkerSpec worker;
+  worker.spec = fake.Spec();
+  worker.address = *address;
+
+  std::atomic<int> answered{0};
+  std::atomic<bool> broken{false};
+  UpstreamConn::Callbacks callbacks;
+  callbacks.on_response = [&](const ProxyEntry&, const std::string&) {
+    answered.fetch_add(1);
+  };
+  callbacks.on_broken = [&](UpstreamConn*) { broken.store(true); };
+  ThreadGate gate;
+  auto dialed = UpstreamConn::Dial(worker, 1000, callbacks, &gate);
+  ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
+  std::shared_ptr<UpstreamConn> conn = *dialed;
+
+  auto entry = [](ProxyEntry::Kind kind, const std::string& payload) {
+    ProxyEntry e;
+    e.kind = kind;
+    e.payload = payload;
+    e.client = "c";
+    return e;
+  };
+  ASSERT_TRUE(conn->Forward(entry(ProxyEntry::Kind::kOpen, "open c d0")));
+  ASSERT_TRUE(WaitFor([&] { return answered.load() == 1; }));
+  ASSERT_TRUE(conn->Forward(entry(ProxyEntry::Kind::kCommand, "c solve")));
+  ASSERT_TRUE(WaitFor([&] { return broken.load(); }));
+  EXPECT_TRUE(conn->failed());
+
+  // Dead but its tail not yet taken: accepted without a send, in order.
+  ASSERT_TRUE(conn->Forward(entry(ProxyEntry::Kind::kCommand, "c eps 0")));
+  ASSERT_TRUE(conn->Forward(entry(ProxyEntry::Kind::kClose, "close c")));
+  std::vector<ProxyEntry> tail = conn->TakeUnacked();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].payload, "c solve");
+  EXPECT_EQ(tail[1].payload, "c eps 0");
+  EXPECT_EQ(tail[2].payload, "close c");
+  // Once taken, the connection refuses: the caller must route elsewhere.
+  EXPECT_FALSE(conn->Forward(entry(ProxyEntry::Kind::kCommand, "c solve")));
+  EXPECT_TRUE(conn->TakeUnacked().empty());
+  conn.reset();
+  EXPECT_TRUE(gate.WaitIdle(5000));
+}
+
+TEST(CoordTest, AWorkerThatStopsReadingStallsOnlyItsOwnClients) {
+  // The coordinator forwards on its one event loop. The stalled worker is
+  // on a Unix socket, whose buffer fills after a few hundred KiB; a
+  // blocking write there would hold the loop, and with it the client of
+  // the healthy worker.
+  TempDir dir;
+  WorkerFixture healthy(/*seed=*/406);
+  if (!healthy.StartTcp().ok()) GTEST_SKIP() << "loopback TCP unavailable";
+  CoordFixture coord;
+  // Declared after the coordinator, so it stops first and cuts whatever
+  // the coordinator still writes to it.
+  FakeWorker stalled([](const std::string& line) {
+    FakeReply reply = AckOpen(line);
+    reply.stall = true;  // reads nothing after the open
+    return reply;
+  });
+  ASSERT_TRUE(stalled.StartUnix(dir.path + "/stalled.sock"));
+  Status started =
+      coord.Start(stalled.Spec() + "," + healthy.Spec(),
+                  "dz=" + stalled.Spec() + ",d0=" + healthy.Spec());
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  DialOptions dial;
+  dial.recv_timeout_s = 20;
+  LineClient flooder;
+  LineClient other;
+  ASSERT_TRUE(flooder.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(other.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(other.SendLine("open b d0"));
+  auto opened = other.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open b d0");
+  ASSERT_TRUE(flooder.SendLine("open a dz"));
+  opened = flooder.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open a dz");
+
+  // 1 MiB of edits: several times the socket buffer, a quarter of the
+  // outbox bound, so the stalled worker is not yet failed over.
+  const std::string edit = "a drop " + std::string(2041, 'x') + "\n";
+  std::string flood;
+  for (int i = 0; i < 512; ++i) flood += edit;
+  ASSERT_TRUE(flooder.Send(flood));
+
+  ASSERT_TRUE(other.SendLine("b solve"));
+  auto solved = other.ReadLine();
+  ASSERT_TRUE(solved.has_value())
+      << "a worker that stopped reading stalled another worker's client";
+  EXPECT_EQ(solved->rfind("ok b line=2 ", 0), 0u) << *solved;
+  ASSERT_TRUE(other.SendLine("quit"));
+  auto quit = other.ReadLine();
+  ASSERT_TRUE(quit.has_value());
+  EXPECT_EQ(*quit, "ok quit");
+  EXPECT_EQ(coord.coord->counters().failovers, 0);
+}
+
+TEST(CoordTest, AWorkerThatLeavesTheOutboxFullIsFailedOver) {
+  // Past UpstreamConn::kMaxOutboxBytes unread, a worker counts as dead:
+  // its connection breaks and, with no replacement, every entry in its
+  // tail answers `worker SPEC died` in line order.
+  TempDir dir;
+  CoordFixture coord;
+  FakeWorker stalled([](const std::string& line) {
+    FakeReply reply = AckOpen(line);
+    reply.stall = true;
+    return reply;
+  });
+  ASSERT_TRUE(stalled.StartUnix(dir.path + "/stalled.sock"));
+  ASSERT_TRUE(coord.Start(stalled.Spec(), "dz=" + stalled.Spec()).ok());
+
+  DialOptions dial;
+  dial.recv_timeout_s = 20;
+  LineClient client;
+  ASSERT_TRUE(client.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(client.SendLine("open a dz"));
+  auto opened = client.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open a dz");
+
+  const int kEdits = 2600;  // ~5.3 MB
+  const std::string edit = "a drop " + std::string(2041, 'x') + "\n";
+  std::string flood;
+  for (int i = 0; i < kEdits; ++i) flood += edit;
+  ASSERT_TRUE(client.Send(flood));
+
+  // The tail answers first, in order; edits read after failover dropped
+  // the session find no client.
+  const std::string died = " worker " + stalled.Spec() + " died: ";
+  int tail = 0;
+  for (int i = 0; i < kEdits; ++i) {
+    auto answer = client.ReadLine();
+    ASSERT_TRUE(answer.has_value()) << "edit " << i << " never answered";
+    if (answer->find(died) != std::string::npos) {
+      ASSERT_EQ(tail, i) << "a tail answer after a no-client one: " << *answer;
+      EXPECT_EQ(answer->rfind("err a line=" + std::to_string(i + 2) + died,
+                              0),
+                0u)
+          << *answer;
+      ++tail;
+    } else {
+      EXPECT_EQ(*answer, NoClientError("a"));
+    }
+  }
+  EXPECT_GT(tail, 0);
+  EXPECT_EQ(coord.coord->counters().failover_failures, 1);
+  ASSERT_TRUE(client.SendLine("quit"));
+  auto quit = client.ReadLine();
+  ASSERT_TRUE(quit.has_value());
+  EXPECT_EQ(*quit, "ok quit");
+}
+
+TEST(CoordTest, AReplacementThatDiesDuringFailoverPassesTheSessionOn) {
+  // Two fakes die in turn: the primary at its first command, the first
+  // replacement at the replayed open. The session ends on the real
+  // worker, whose answers must match a serial replay of the commands.
+  WorkerFixture real(/*seed=*/407);
+  if (!real.StartTcp().ok()) GTEST_SKIP() << "loopback TCP unavailable";
+  FakeWorker primary([](const std::string& line) {
+    FakeReply reply = AckOpen(line);
+    reply.die = reply.text.empty();
+    return reply;
+  });
+  FakeWorker replacement([](const std::string&) {
+    FakeReply reply;
+    reply.die = true;
+    return reply;
+  });
+  ASSERT_TRUE(primary.Start());
+  ASSERT_TRUE(replacement.Start());
+  CoordFixture coord;
+  Status started = coord.Start(
+      primary.Spec() + "," + replacement.Spec() + "," + real.Spec(),
+      "d0=" + primary.Spec());
+  ASSERT_TRUE(started.ok()) << started.ToString();
+
+  LineClient client;
+  ASSERT_TRUE(client.Connect(coord.endpoint).ok());
+  ASSERT_TRUE(client.SendLine("open c d0"));
+  auto opened = client.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open c d0");
+  const std::vector<std::string> script = {"min-weight A0 0.05", "solve"};
+  ASSERT_TRUE(client.Send("c " + script[0] + "\nc " + script[1] + "\n"));
+
+  SolveSession replay(Dataset(real.datasets[0]), Ranking(real.rankings[0]),
+                      SpatialOptions());
+  auto parsed = ParseSessionScript(script[0] + "\n" + script[1]);
+  ASSERT_TRUE(parsed.ok());
+  const std::vector<std::string> labels =
+      TupleLabels(real.datasets[0].num_tuples());
+  for (size_t s = 0; s < parsed->size(); ++s) {
+    auto want = ExecuteSessionCommand(&replay, (*parsed)[s], labels);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.has_value()) << "step " << s << ": no answer";
+    const std::string expect_prefix =
+        "ok c line=" + std::to_string(s + 2) +
+        " error=" + std::to_string(want->result.error) + " bound=";
+    EXPECT_EQ(line->rfind(expect_prefix, 0), 0u)
+        << "step " << s << ": got '" << *line << "', want prefix '"
+        << expect_prefix << "'";
+  }
+  EXPECT_EQ(coord.coord->counters().failovers, 2);
+  EXPECT_EQ(coord.coord->counters().failover_sessions, 2);
+  ASSERT_TRUE(client.SendLine("open c d0"));
+  auto adopted = client.ReadLine();
+  ASSERT_TRUE(adopted.has_value());
+  EXPECT_EQ(*adopted, "ok open c d0 recovered");
+  ASSERT_TRUE(client.SendLine("quit"));
+  auto quit = client.ReadLine();
+  ASSERT_TRUE(quit.has_value());
+  EXPECT_EQ(*quit, "ok quit");
+}
+
+TEST(CoordTest, CommandsAfterAnAckedCloseAnswerWhenTheWorkerDies) {
+  // The worker reads the two commands behind `close c`, acks the close
+  // and dies: the commands, sent but unanswered, belong to no session
+  // anymore. Each answers `worker SPEC died` in line order, and `quit`
+  // finds nothing left in flight.
+  int after_close = -1;
+  FakeWorker worker([&after_close](const std::string& line) {
+    FakeReply reply = AckOpen(line);
+    if (line == "close c") {
+      after_close = 0;
+    } else if (after_close >= 0 && ++after_close == 2) {
+      reply.text = "ok close c";
+      reply.die = true;
+    }
+    return reply;
+  });
+  ASSERT_TRUE(worker.Start());
+  CoordFixture coord;
+  ASSERT_TRUE(coord.Start(worker.Spec(), "d0=" + worker.Spec()).ok());
+
+  DialOptions dial;
+  dial.recv_timeout_s = 10;  // well under the 30 s quit cap
+  LineClient client;
+  ASSERT_TRUE(client.Connect(coord.endpoint, dial).ok());
+  ASSERT_TRUE(client.SendLine("open c d0"));
+  auto opened = client.ReadLine();
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, "ok open c d0");
+  ASSERT_TRUE(client.Send("close c\nc solve\nc solve\n"));
+  const std::string died = " worker " + worker.Spec() + " died";
+  for (const std::string& want :
+       {std::string("ok close c"), "err c line=3" + died,
+        "err c line=4" + died}) {
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.has_value()) << "no answer; want '" << want << "'";
+    EXPECT_EQ(*line, want);
+  }
+  ASSERT_TRUE(client.SendLine("quit"));
+  auto quit = client.ReadLine();
+  ASSERT_TRUE(quit.has_value()) << "quit waited on an entry nobody answers";
   EXPECT_EQ(*quit, "ok quit");
 }
 
